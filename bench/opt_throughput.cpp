@@ -1,10 +1,10 @@
 //===- bench/opt_throughput.cpp - CPS-optimizer fixpoint gate -------------------===//
 //
 // Gates the fixpoint shrinker's claim: running contraction to a true
-// normal form (eta, census-driven argument flattening, wrap/unwrap
-// cancellation breadth, invariant hoisting) produces strictly better
-// programs than the bounded legacy cadence, at compile-time cost that
-// still beats the census+rebuild rounds engine.
+// normal form with the fixpoint extras (eta, wrap/unwrap cancellation
+// breadth, invariant hoisting) produces strictly better programs than the
+// bounded rounds engine, at compile-time cost that still beats its
+// census+rebuild rounds.
 //
 // Over the full Figure 7/8 compile matrix (12 benchmarks x 6 variants =
 // 72 jobs), each job is compiled under the rounds oracle and the
@@ -15,7 +15,7 @@
 //      the program, never its observables.
 //   2. ratchet: per row, shrink's dynamic instruction count never
 //      exceeds rounds'. No row regresses.
-//   3. convergence: no row stops at a phase cap or the safety ceiling.
+//   3. convergence: no shrink row stops at the phase safety ceiling.
 //   4. throughput: best-of-N cps_opt phase seconds per engine; the gate
 //      is geomean(rounds / shrink) >= 1.5x even though the fixpoint
 //      engine now runs more phases.
@@ -23,12 +23,12 @@
 //      the affected rows (any nonzero delta) and >= 3% over the
 //      materially affected rows (reduction >= 1%). The full-corpus
 //      geomean is reported unfiltered for context — most rows were
-//      already at normal form under the bounded cadence, so gating on
-//      it would only reward noise.
+//      already at normal form under the rounds engine, so gating on it
+//      would only reward noise.
 //
-// Each row also carries a per-rule ablation: four extra fixpoint
-// compiles, one per --cps-opt-disable bit, recording how many dynamic
-// instructions return when that rule is turned off.
+// Each row also carries a per-rule ablation: one extra fixpoint compile
+// per --cps-opt-disable rule, recording how many dynamic instructions
+// return when that rule is turned off.
 //
 // Results land in BENCH_opt.json.
 //
@@ -42,6 +42,7 @@
 #include "obs/Json.h"
 
 #include <cstring>
+#include <iterator>
 
 using namespace smltc;
 using namespace smltc::bench;
@@ -90,7 +91,6 @@ struct Ablation {
 
 constexpr Ablation kAblations[] = {
     {"eta", kCpsRuleEta},
-    {"fag", kCpsRuleFag},
     {"wrapcancel", kCpsRuleWrapCancel},
     {"hoist", kCpsRuleHoist},
 };
@@ -143,7 +143,7 @@ int main(int Argc, char **Argv) {
   std::vector<double> InstrAll, InstrAffected, InstrMaterial;
   double RoundsTotal = 0, ShrinkTotal = 0;
   uint64_t RoundsArena = 0, ShrinkArena = 0;
-  uint64_t RuleDeltaTotals[4] = {0, 0, 0, 0};
+  uint64_t RuleDeltaTotals[std::size(kAblations)] = {};
 
   obs::JsonWriter W;
   W.beginObject();
@@ -169,7 +169,7 @@ int main(int Argc, char **Argv) {
       AllIdentical = AllIdentical && Identical;
       if (SR.M.Instructions > RR.M.Instructions)
         AnyRegressed = true;
-      if (SR.Opt.HitRoundCap || SR.Opt.HitSafetyCeiling)
+      if (SR.Opt.HitSafetyCeiling)
         AnyCapped = true;
       double Ratio = SR.BestOptSec > 0 ? RR.BestOptSec / SR.BestOptSec : 1.0;
       SpeedRatios.push_back(Ratio);
@@ -209,8 +209,6 @@ int main(int Argc, char **Argv) {
               static_cast<uint64_t>(SR.Opt.ExpandPasses));
       W.field("rounds_rounds", static_cast<uint64_t>(RR.Opt.Rounds));
       W.field("eta_funs", static_cast<uint64_t>(SR.Opt.EtaFuns));
-      W.field("census_flattened",
-              static_cast<uint64_t>(SR.Opt.CensusFlattened));
       W.field("wrap_cancel_chains",
               static_cast<uint64_t>(SR.Opt.WrapCancelChains));
       W.field("hoisted_allocs", static_cast<uint64_t>(SR.Opt.HoistedAllocs));
@@ -218,7 +216,7 @@ int main(int Argc, char **Argv) {
       // fixpoint rule is disabled alone (0 delta = rule did not matter
       // for this row).
       W.key("ablation").beginObject();
-      for (size_t A = 0; A < 4; ++A) {
+      for (size_t A = 0; A < std::size(kAblations); ++A) {
         uint64_t AblInstr =
             ablatedInstructions(P, Variants[V], kAblations[A].Bit);
         uint64_t Delta =
@@ -249,12 +247,11 @@ int main(int Argc, char **Argv) {
               "(gate: >= 3%%)\n",
               Pct(GeoAll), Pct(GeoAffected), InstrAffected.size(),
               Pct(GeoMaterial), InstrMaterial.size());
-  std::printf("rule ablation:   eta +%llu, fag +%llu, wrapcancel +%llu, "
-              "hoist +%llu instructions when disabled\n",
-              (unsigned long long)RuleDeltaTotals[0],
-              (unsigned long long)RuleDeltaTotals[1],
-              (unsigned long long)RuleDeltaTotals[2],
-              (unsigned long long)RuleDeltaTotals[3]);
+  std::printf("rule ablation:  ");
+  for (size_t A = 0; A < std::size(kAblations); ++A)
+    std::printf(" %s +%llu", kAblations[A].Name,
+                (unsigned long long)RuleDeltaTotals[A]);
+  std::printf(" instructions when disabled\n");
   std::printf("semantic identity: %s;  per-row ratchet: %s;  convergence: "
               "%s\n\n",
               AllIdentical ? "ok" : "FAILED",
@@ -274,7 +271,7 @@ int main(int Argc, char **Argv) {
   W.field("gate_reduction_affected_pct", 1.0, 1);
   W.field("gate_reduction_material_pct", 3.0, 1);
   W.key("ablation_totals").beginObject();
-  for (size_t A = 0; A < 4; ++A)
+  for (size_t A = 0; A < std::size(kAblations); ++A)
     W.field(kAblations[A].Name, RuleDeltaTotals[A]);
   W.endObject();
   W.field("all_identical", AllIdentical);
@@ -304,7 +301,7 @@ int main(int Argc, char **Argv) {
     Ok = false;
   }
   if (AnyCapped) {
-    std::fprintf(stderr, "FAIL: some row hit a phase cap or the ceiling\n");
+    std::fprintf(stderr, "FAIL: some row hit the phase safety ceiling\n");
     Ok = false;
   }
   if (Geomean < 1.5) {

@@ -15,15 +15,13 @@
 //    constant and branch folding, eta-cont, beta of once-used functions)
 //    together with the planned expansions.
 //
-//    The sweep cadence deliberately mirrors the rounds engine
-//    decision-for-decision — one sweep per phase, dead bindings removed
-//    only when the sweep reaches them with a zero count, kinds and clone
-//    sources frozen at phase entry — so both engines walk through the
-//    same sequence of program states and normal forms. That makes the
-//    engines differentially testable down to exact VM instruction counts
-//    (including programs where the round cap stops contraction midway);
-//    the speedup comes purely from eliminating the per-round full census
-//    walk and the full arena tree rebuild, not from different decisions.
+//    The base cadence mirrors the rounds engine decision-for-decision —
+//    one sweep per phase, dead bindings removed only when the sweep
+//    reaches them with a zero count, kinds and clone sources frozen at
+//    phase entry — so with the fixpoint extras (eta, wrapcancel, hoist)
+//    disabled it matches the rounds engine on exact VM instruction
+//    counts. The speedup comes from eliminating the per-round census
+//    walk and arena tree rebuild, not from different decisions.
 //
 // Both engines share the dense census representation: every per-variable
 // table is a flat vector indexed by CVar (CpsCheck guarantees unique
@@ -1050,7 +1048,8 @@ private:
 /// and branch folding, wrap/unwrap cancellation, record-copy elimination,
 /// eta-cont, beta of once-used functions. Non-shrinking expansions
 /// (inline-small, Kranz flattening) run as planned phases between shrink
-/// phases, bounded by the same cap of 10 the rounds engine uses.
+/// phases. Phases repeat until one fires nothing, behind
+/// kPhaseSafetyCeiling.
 class ShrinkOptimizer {
 public:
   ShrinkOptimizer(Arena &A, const CompilerOptions &Opts, CVar &MaxVar,
@@ -1073,24 +1072,14 @@ public:
     // from-scratch census walk (counts are maintained incrementally) and
     // no arena rebuild of the whole tree (contractions splice in place).
     //
-    // Fixpoint mode (CpsOptMaxPhases == 0, the default) keeps that
-    // cadence but runs until a whole phase fires nothing, behind a
-    // safety ceiling. The fixpoint-era rules — generalized eta,
-    // census-driven argument flattening, wrap-cancellation breadth,
-    // loop-invariant alloc hoisting — are active only here, so any
-    // bounded --cps-opt-max-phases=N reproduces the legacy cadence
-    // bit-for-bit (N=10 matches the rounds oracle exactly).
-    bool Fixpoint = Opts.CpsOptMaxPhases <= 0;
-    int Cap = Fixpoint ? kPhaseSafetyCeiling : Opts.CpsOptMaxPhases;
-    EtaOn = Fixpoint && !(Opts.CpsOptDisable & kCpsRuleEta);
-    FagOn = Fixpoint && !(Opts.CpsOptDisable & kCpsRuleFag) &&
-            Opts.KnownFnFlattening;
-    WrapOn = Fixpoint && !(Opts.CpsOptDisable & kCpsRuleWrapCancel) &&
-             Opts.CpsWrapCancel;
-    HoistOn = Fixpoint && !(Opts.CpsOptDisable & kCpsRuleHoist);
+    // Phases repeat until one fires nothing; the fixpoint extras are what
+    // the default adds on top of the rounds cadence.
+    EtaOn = !(Opts.CpsOptDisable & kCpsRuleEta);
+    WrapOn = !(Opts.CpsOptDisable & kCpsRuleWrapCancel) && Opts.CpsWrapCancel;
+    HoistOn = !(Opts.CpsOptDisable & kCpsRuleHoist);
     int Phase = 0;
     bool Progressed = true;
-    for (; Phase < Cap; ++Phase) {
+    for (; Phase < kPhaseSafetyCeiling; ++Phase) {
       bool HavePlan;
       {
         SMLTC_SPAN("cps_expand_plan", "compile");
@@ -1140,10 +1129,7 @@ public:
         break;
       }
     }
-    if (Fixpoint)
-      Stats.HitSafetyCeiling = Phase == Cap && Progressed;
-    else
-      Stats.HitRoundCap = Phase == Cap && Progressed;
+    Stats.HitSafetyCeiling = Phase == kPhaseSafetyCeiling && Progressed;
     // At a true fixpoint every kept occurrence has been rewritten to its
     // resolved form, so the maintained census must equal a raw recount;
     // verify with the census half of CpsCheck in audit mode and in debug
@@ -1152,7 +1138,7 @@ public:
 #ifndef NDEBUG
     DebugBuild = true;
 #endif
-    if (Fixpoint && !Progressed && (Audit || DebugBuild)) {
+    if (!Progressed && (Audit || DebugBuild)) {
       CpsCheckResult CR = checkCpsCensus(
           Program, UseV, CallsV, [this](CValue V) { return rv(V); });
       if (!CR.Ok)
@@ -1191,9 +1177,6 @@ private:
     EscPV.resize(N, 0);
     AdoptableV.resize(N, 0);
     SnapBodyV.resize(N, nullptr);
-    FagLenV.resize(N, 0);
-    SelMaskV.resize(N, 0);
-    PlanFagV.resize(N, 0);
   }
 
   /// Resolves a value through the pending substitution.
@@ -2354,10 +2337,6 @@ private:
   /// shrink phase once only selects remain).
   void flattenEntry(CFun *F, int N) {
     ++Stats.KnownFnsFlattened;
-    if (PlanFagV[F->Name]) {
-      ++Stats.CensusFlattened;
-      NewRuleFired = true;
-    }
     ++Contractions;
     CVar OldRec = F->Params[0];
     CVar OldK = F->Params[1];
@@ -2600,11 +2579,6 @@ private:
     std::fill(PlanOnceV.begin(), PlanOnceV.end(), 0);
     std::fill(PlanSmallV.begin(), PlanSmallV.end(), 0);
     std::fill(PlanFlattenV.begin(), PlanFlattenV.end(), 0);
-    if (FagOn) {
-      std::fill(FagLenV.begin(), FagLenV.end(), 0);
-      std::fill(SelMaskV.begin(), SelMaskV.end(), 0);
-      std::fill(PlanFagV.begin(), PlanFagV.end(), 0);
-    }
     std::fill(OwsV.begin(), OwsV.end(), 0);
     std::fill(SelfRecPV.begin(), SelfRecPV.end(), 0);
     std::fill(LoopNestPV.begin(), LoopNestPV.end(), 0);
@@ -2641,17 +2615,6 @@ private:
         if (PT.K == CtyKind::PtrKnown && PT.Len >= 2 &&
             PT.Len <= Opts.MaxSpreadArgs && OwsV[F->Params[0]] == 1) {
           PlanFlattenV[Name] = PT.Len;
-          Any = true;
-        } else if (FagOn && OwsV[F->Params[0]] == 1 && FagLenV[Name] >= 2 &&
-                   SelMaskV[F->Params[0]] ==
-                       (1u << FagLenV[Name]) - 1u) {
-          // Census-driven sml.fag: the record's shape is proven by its
-          // construction at every call site rather than by the parameter
-          // type. Requiring the body to select every component keeps the
-          // rewrite a win — otherwise a k-of-N select pattern would turn
-          // into N argument moves.
-          PlanFlattenV[Name] = FagLenV[Name];
-          PlanFagV[Name] = 1;
           Any = true;
         }
       }
@@ -2710,17 +2673,11 @@ private:
           notOws(F.V);
         E = E->C1;
         continue;
-      case Cexp::Kind::Select: {
-        if (E->IsFloat) {
+      case Cexp::Kind::Select:
+        if (E->IsFloat)
           notOws(E->F);
-        } else if (FagOn) {
-          CValue Bv = rv(E->F);
-          if (Bv.isVar() && E->Idx >= 0 && E->Idx < 31)
-            SelMaskV[Bv.V] |= 1u << E->Idx;
-        }
         E = E->C1;
         continue;
-      }
       case Cexp::Kind::App: {
         CValue F = rv(E->F);
         if (F.isVar()) {
@@ -2749,10 +2706,6 @@ private:
           // pruner reuse this walk instead of re-walking candidate bodies.
           if (Owner && FnDefV[F.V])
             CallEdges.emplace_back(Owner->Name, F.V);
-          // Census-driven flattening vets every call site, including
-          // top-level ones outside any function.
-          if (FagOn && FnDefV[F.V])
-            noteFagSite(F.V, E);
         }
         for (const CValue &V : E->Args)
           notOws(V);
@@ -2797,39 +2750,6 @@ private:
     CValue R = rv(V);
     if (R.isVar())
       OwsV[R.V] = 2;
-  }
-
-  /// Census-driven flattening facts: a function qualifies only when every
-  /// call site passes a record proven (by its construction) to be a Std
-  /// all-word record of one consistent length within MaxSpreadArgs — the
-  /// paper's sml.fag discipline without needing a PtrKnown parameter
-  /// type. -1 marks the function disqualified.
-  void noteFagSite(CVar Fn, const Cexp *Site) {
-    int32_t &L = FagLenV[Fn];
-    if (L < 0)
-      return;
-    int N = -1;
-    if (Site->Args.size() == 2) {
-      CValue A0 = rv(Site->Args[0]);
-      if (A0.isVar()) {
-        const Cexp *D = DefNodeV[A0.V];
-        if (D && D->K == Cexp::Kind::Record && D->RK == RecordKind::Std) {
-          int Len = static_cast<int>(D->Fields.size());
-          if (Len >= 2 && Len <= Opts.MaxSpreadArgs && Len < 31) {
-            N = Len;
-            for (const CField &Fd : D->Fields)
-              if (Fd.IsFloat) {
-                N = -1;
-                break;
-              }
-          }
-        }
-      }
-    }
-    if (N < 0 || (L > 0 && L != N))
-      L = -1;
-    else
-      L = N;
   }
 
   /// Mirrors the rounds engine's Kahn-style cycle pruning for the
@@ -3004,13 +2924,7 @@ private:
   std::vector<std::pair<CVar, CVar>> CallEdges; ///< (owner fn, callee fn)
   DenseVarMap<CVar> PlanParentOf;               ///< nested fn -> enclosing fn
 
-  // Fixpoint-era rule state (all unused when CpsOptMaxPhases > 0).
-  /// Census-driven flattening: per-function consistent call-site record
-  /// length (0 unseen, -1 disqualified), per-var bitmap of non-float
-  /// select indices, and which flatten plans came from the census rule.
-  std::vector<int32_t> FagLenV;
-  std::vector<uint32_t> SelMaskV;
-  std::vector<uint8_t> PlanFagV;
+  // Fixpoint-extra rule state.
   /// Wrap-cancellation breadth: dominating FloatBox binder per raw float
   /// var, and dominating sel.f(box, 0) binder per box var. Scoped like
   /// the rounds engine's RecDefs/SelDefs (popped at branch arms and
@@ -3072,7 +2986,7 @@ private:
   int WrapDepth = 0;       ///< current function-nesting depth in the sweep
   bool InLoopBody = false; ///< innermost enclosing function self-recurses
   DenseVarMap<uint8_t> HoistSeen; ///< loop-local binders during hoist scan
-  bool EtaOn = false, FagOn = false, WrapOn = false, HoistOn = false;
+  bool EtaOn = false, WrapOn = false, HoistOn = false;
   bool NewRuleFired = false; ///< a fixpoint-era rule fired this phase
 
   uint64_t Contractions = 0;
@@ -3111,8 +3025,6 @@ Cexp *smltc::optimizeCps(Arena &A, const CompilerOptions &Opts,
   T.KnownFnsFlattened.fetch_add(Stats.KnownFnsFlattened,
                                 std::memory_order_relaxed);
   T.EtaFuns.fetch_add(Stats.EtaFuns, std::memory_order_relaxed);
-  T.CensusFlattened.fetch_add(Stats.CensusFlattened,
-                              std::memory_order_relaxed);
   T.WrapCancelChains.fetch_add(Stats.WrapCancelChains,
                                std::memory_order_relaxed);
   T.WrapCancelLoopCarried.fetch_add(Stats.WrapCancelLoopCarried,
@@ -3169,8 +3081,6 @@ void smltc::registerCpsOptMetrics(obs::Registry &R) {
     "known functions argument-flattened");
   C("smltcc_cps_opt_eta_funs_total", T.EtaFuns,
     "forwarding functions eta-reduced (fixpoint rule)");
-  C("smltcc_cps_opt_census_flattened_total", T.CensusFlattened,
-    "functions flattened by the census-driven fag rule");
   C("smltcc_cps_opt_wrap_cancel_chains_total", T.WrapCancelChains,
     "non-adjacent wrap dedups and unwrap CSEs (fixpoint rule)");
   C("smltcc_cps_opt_wrap_cancel_loop_carried_total", T.WrapCancelLoopCarried,

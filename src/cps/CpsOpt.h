@@ -12,7 +12,7 @@
 ///
 /// Two engines implement the same reductions (CompilerOptions::CpsOpt):
 ///
-///  - `rounds` (legacy): up to 10 fixpoint rounds, each taking a fresh
+///  - `rounds` (reference): up to 10 fixpoint rounds, each taking a fresh
 ///    census and rebuilding the whole tree in the arena.
 ///  - `shrink` (default): one up-front census over dense CVar-indexed
 ///    tables, incrementally maintained as each contraction fires, with
@@ -20,9 +20,12 @@
 ///    re-cloned. Each phase plans the non-shrinking passes (inline-small,
 ///    argument flattening) from phase-entry counts, then applies all
 ///    reductions in one top-down sweep that mirrors the rounds cadence
-///    decision-for-decision — both engines reach the same normal form
-///    through the same intermediate states, so they are differentially
-///    testable down to exact VM instruction counts.
+///    decision-for-decision, until a phase fires nothing.
+///
+/// The contract between them: the shrink engine's base cadence (with
+/// --cps-opt-disable=all) matches `rounds` on exact VM instruction
+/// counts; eta, wrapcancel and hoist are fixpoint extras that contract
+/// further on top of it and are on by default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,10 +56,8 @@ struct CpsOptStats {
   size_t InlinedSmall = 0;
   size_t EtaConts = 0;
   size_t KnownFnsFlattened = 0;
-  // Fixpoint-era shrink rules (fire only when CpsOptMaxPhases == 0):
+  // Shrink-engine fixpoint extras (zero under --cps-opt-disable=all):
   size_t EtaFuns = 0;          ///< generalized eta of forwarding functions
-  size_t CensusFlattened = 0;  ///< census-driven (untyped) arg flattening;
-                               ///< also counted in KnownFnsFlattened
   size_t WrapCancelChains = 0; ///< non-adjacent wrap dedup / unwrap CSE
   /// The subset of WrapCancelChains that cancelled a per-iteration
   /// allocation or select inside a loop nest (fired through the
@@ -73,11 +74,11 @@ struct CpsOptStats {
   /// Shrink-engine audit mode (setCpsOptAudit): per-variable mismatches
   /// between the incrementally maintained census and a recount.
   size_t CensusAuditFailures = 0;
-  /// The engine stopped at its round/phase cap while reductions were still
-  /// firing (previously a silent non-convergence).
+  /// Rounds engine only: it stopped at its 10-round cap while reductions
+  /// were still firing (previously a silent non-convergence).
   bool HitRoundCap = false;
-  /// Fixpoint mode only: the shrink engine was still contracting when it
-  /// reached the safety ceiling. The driver turns this into a compile
+  /// Shrink engine only: it was still contracting when it reached the
+  /// phase safety ceiling. The driver turns this into a compile
   /// error — contraction rules provably shrink, so this is a rule bug,
   /// not a program property.
   bool HitSafetyCeiling = false;
@@ -104,7 +105,6 @@ struct CpsOptTotals {
   std::atomic<uint64_t> EtaConts{0};
   std::atomic<uint64_t> KnownFnsFlattened{0};
   std::atomic<uint64_t> EtaFuns{0};
-  std::atomic<uint64_t> CensusFlattened{0};
   std::atomic<uint64_t> WrapCancelChains{0};
   std::atomic<uint64_t> WrapCancelLoopCarried{0};
   std::atomic<uint64_t> HoistedAllocs{0};

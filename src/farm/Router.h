@@ -109,6 +109,8 @@ private:
                       std::vector<std::unique_ptr<server::Client>> &Pool);
   /// Records one forwarded (or exhausted) compile into the process
   /// RequestLog so the router's /tracez lists its slowest forwards.
+  /// Called before the answer is sent, so a client holding its answer
+  /// always finds the forward there.
   void recordForward(std::chrono::steady_clock::time_point Arrival,
                      uint64_t RequestId, const obs::TraceContext &Ctx);
   /// Returns a connected (and, if needed, authenticated) client for

@@ -290,27 +290,30 @@ Cexp *deadRecordChain(CpsBuilder &B, int Depth) {
 
 } // namespace
 
-TEST_P(CpsOptFixture, RoundCapFlagOnDeepDeadChainWhenCapped) {
-  // In capped mode (--cps-opt-max-phases=10, the legacy PR 5 cadence) a
-  // chain deeper than the cap must leave work behind and say so via
-  // HitRoundCap. The rounds engine always runs the bounded cadence.
+TEST(CpsOptRounds, RoundCapFlagOnDeepDeadChainWhenCapped) {
+  // The rounds engine stops after 10 rounds: a chain deeper than that
+  // must leave work behind and say so via HitRoundCap.
+  Arena A;
+  CpsBuilder B{A};
+  CpsOptStats Stats;
   CompilerOptions O = CompilerOptions::ffb();
-  O.CpsOptMaxPhases = 10;
-  Cexp *R = optimize(deadRecordChain(B, 12), O);
+  O.CpsOpt = CpsOptEngine::Rounds;
+  Cexp *P = deadRecordChain(B, 12);
+  CVar MaxVar = B.maxVar();
+  Cexp *R = optimizeCps(A, O, P, MaxVar, Stats);
+  ASSERT_TRUE(checkCps(R).Ok);
   EXPECT_TRUE(Stats.HitRoundCap);
   EXPECT_NE(R->K, Cexp::Kind::Halt); // dead layers were left behind
 }
 
 TEST(CpsOptFixpoint, FixpointDrainsDeepDeadChain) {
-  // The fixpoint default (CpsOptMaxPhases == 0) keeps peeling until the
-  // chain is gone — the standing HitRoundCap of the capped era cannot
-  // happen, and the safety ceiling is nowhere near.
+  // The shrink engine keeps peeling until the chain is gone, far below
+  // the safety ceiling.
   Arena A;
   CpsBuilder B{A};
   CpsOptStats Stats;
   CompilerOptions O = CompilerOptions::ffb();
   O.CpsOpt = CpsOptEngine::Shrink;
-  ASSERT_EQ(O.CpsOptMaxPhases, 0);
   CVar MaxVar;
   Cexp *P = deadRecordChain(B, 40);
   MaxVar = B.maxVar();
@@ -336,10 +339,10 @@ struct AuditGuard {
 // The differential harness: both engines, over the full 12-program x
 // 6-variant matrix, must produce programs with identical VM observables
 // (result, output, exception/trap state, store-barrier counts). Because
-// the fixpoint-era rules legitimately change the program, the oracle is
-// semantic identity plus a ratchet — the fixpoint engine may only ever
-// execute fewer dynamic instructions than the bounded legacy cadence,
-// never more. (checkCps runs inside Compiler::compile on every
+// the fixpoint extras legitimately change the program, the oracle is
+// semantic identity plus a ratchet — the default shrink engine may only
+// ever execute fewer dynamic instructions than the rounds engine, never
+// more. (checkCps runs inside Compiler::compile on every
 // optimized program.)
 TEST(CpsOptDifferential, EnginesAgreeOnCorpusMatrix) {
   size_t NumVariants = 0;
@@ -369,46 +372,52 @@ TEST(CpsOptDifferential, EnginesAgreeOnCorpusMatrix) {
   }
 }
 
-// Capped mode is the compatibility escape hatch: with
-// --cps-opt-max-phases=10 the shrink engine must restore the exact
-// PR 5 oracle — programs whose dynamic instruction counts equal the
-// rounds engine's on the whole matrix, with every fixpoint-era rule
-// disengaged. (Byte identity holds against the PR 5 *shrink* cadence —
-// verified against the prior release out of tree — but not against
-// rounds: the two engines reached instruction-count-identical normal
-// forms with different variable numbering on sml.fag rows even then.)
-TEST(CpsOptDifferential, CappedModeRestoresLegacyCadence) {
+// The base cadence is the rounds engine's: with every fixpoint extra
+// disabled, the shrink engine (running to fixpoint) must execute exactly
+// as many dynamic instructions as `rounds` on the whole matrix — also on
+// the rows where `rounds` stops at its 10-round cap. (Byte identity does
+// not hold: the engines number fresh variables differently on sml.fag
+// rows, and on Ray ffb/fp3 the shrink engine runs two phases past that
+// cap.)
+TEST(CpsOptDifferential, BaseCadenceMatchesRoundsOracle) {
   size_t NumVariants = 0;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
+  size_t Rows = 0;
   for (const BenchmarkProgram &P : benchmarkCorpus()) {
     for (size_t I = 0; I < NumVariants; ++I) {
       SCOPED_TRACE(std::string(P.Name) + " / " + Variants[I].VariantName);
       CompilerOptions RoundsOpts = Variants[I];
       RoundsOpts.CpsOpt = CpsOptEngine::Rounds;
-      CompilerOptions CappedOpts = Variants[I];
-      CappedOpts.CpsOpt = CpsOptEngine::Shrink;
-      CappedOpts.CpsOptMaxPhases = 10;
-      CompileOutput CO = Compiler::compile(P.Source, CappedOpts);
+      CompilerOptions BaseOpts = Variants[I];
+      BaseOpts.CpsOpt = CpsOptEngine::Shrink;
+      BaseOpts.CpsOptDisable = kCpsRuleAll;
+      CompileOutput CO = Compiler::compile(P.Source, BaseOpts);
       ASSERT_TRUE(CO.Ok) << CO.Errors;
       EXPECT_EQ(CO.Metrics.Opt.EtaFuns, 0u);
-      EXPECT_EQ(CO.Metrics.Opt.CensusFlattened, 0u);
       EXPECT_EQ(CO.Metrics.Opt.WrapCancelChains, 0u);
+      EXPECT_EQ(CO.Metrics.Opt.WrapCancelLoopCarried, 0u);
       EXPECT_EQ(CO.Metrics.Opt.HoistedAllocs, 0u);
+      EXPECT_FALSE(CO.Metrics.Opt.HitSafetyCeiling);
+      VmOptions VO;
+      VO.UnalignedFloats = BaseOpts.UnalignedFloats;
+      ExecResult SR = execute(CO.Program, VO);
       ExecResult RR = Compiler::compileAndRun(P.Source, RoundsOpts);
-      ExecResult SR = Compiler::compileAndRun(P.Source, CappedOpts);
       ASSERT_TRUE(RR.Ok);
       ASSERT_TRUE(SR.Ok);
+      EXPECT_EQ(RR.Result, P.ExpectedResult);
       EXPECT_EQ(SR.Result, RR.Result);
       EXPECT_EQ(SR.Output, RR.Output);
+      EXPECT_EQ(SR.Metrics.BarrierStores, RR.Metrics.BarrierStores);
       EXPECT_EQ(SR.Instructions, RR.Instructions);
+      ++Rows;
     }
   }
+  EXPECT_EQ(Rows, 72u);
 }
 
-// After fixpoint landed, no corpus job may stop early: the standing
-// HitRoundCap on Ray is fixed, and nothing is anywhere near the safety
+// No corpus job may come anywhere near the shrink engine's safety
 // ceiling.
-TEST(CpsOptDifferential, NoCorpusRowHitsCapOrCeiling) {
+TEST(CpsOptDifferential, NoCorpusRowHitsSafetyCeiling) {
   size_t NumVariants = 0;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
   for (const BenchmarkProgram &P : benchmarkCorpus()) {
@@ -416,10 +425,8 @@ TEST(CpsOptDifferential, NoCorpusRowHitsCapOrCeiling) {
       SCOPED_TRACE(std::string(P.Name) + " / " + Variants[I].VariantName);
       CompilerOptions O = Variants[I];
       O.CpsOpt = CpsOptEngine::Shrink;
-      ASSERT_EQ(O.CpsOptMaxPhases, 0);
       CompileOutput Out = Compiler::compile(P.Source, O);
       ASSERT_TRUE(Out.Ok) << Out.Errors;
-      EXPECT_FALSE(Out.Metrics.Opt.HitRoundCap);
       EXPECT_FALSE(Out.Metrics.Opt.HitSafetyCeiling);
     }
   }
@@ -430,9 +437,8 @@ TEST(CpsOptDifferential, NoCorpusRowHitsCapOrCeiling) {
 // maintained tables. Any divergence is a bug in a contraction's count
 // bookkeeping.
 //===----------------------------------------------------------------------===//
-// Fixpoint-era rule unit tests. These rules fire only under the shrink
-// engine in fixpoint mode (the default), so they are not parameterized
-// over engines.
+// Fixpoint-extra rule unit tests. These rules exist only in the shrink
+// engine, so they are not parameterized over engines.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -444,7 +450,6 @@ struct FixpointFixture : ::testing::Test {
 
   Cexp *optimize(Cexp *E, CompilerOptions O = CompilerOptions::ffb()) {
     O.CpsOpt = CpsOptEngine::Shrink;
-    EXPECT_EQ(O.CpsOptMaxPhases, 0); // fixpoint default
     CVar MaxVar = B.maxVar();
     Cexp *R = optimizeCps(A, O, E, MaxVar, Stats);
     EXPECT_TRUE(checkCps(R).Ok);
@@ -514,79 +519,6 @@ TEST_F(FixpointFixture, EtaRuleRespectsAblationFlag) {
   O.CpsOptDisable = kCpsRuleEta;
   optimize(P, O);
   EXPECT_EQ(Stats.EtaFuns, 0u);
-}
-
-TEST_F(FixpointFixture, CensusFlattensUntypedRecordArgs) {
-  // The census-driven sml.fag rule: the parameter type is ptrUnknown (no
-  // typed length), but every call site passes a 2-record built in scope
-  // and the body selects every component — flattening is proven by the
-  // census, not the types.
-  CVar F = B.fresh(), P1 = B.fresh(), K = B.fresh();
-  CVar S0 = B.fresh(), S1 = B.fresh(), W = B.fresh();
-  Cexp *Body = B.select(
-      0, false, CValue::var(P1), S0, Cty::intTy(),
-      B.select(1, false, CValue::var(P1), S1, Cty::intTy(),
-               B.arith(CpsOp::IAdd, {CValue::var(S0), CValue::var(S1)}, W,
-                       Cty::intTy(),
-                       B.app(CValue::var(K), {CValue::var(W)}))));
-  CFun *Fn = B.fun(CFun::Kind::Known, F, {P1, K},
-                   {Cty::ptrUnknown(), Cty::cntTy()}, Body);
-  CVar RK = B.fresh(), RX = B.fresh();
-  CVar Arg1 = B.fresh(), Arg2 = B.fresh();
-  CFun *Ret = B.fun(CFun::Kind::Cont, RK, {RX}, {Cty::intTy()},
-                    B.app(CValue::var(F),
-                          {CValue::var(Arg2), CValue::var(RK)}));
-  auto MakeArg = [&](CVar V, Cexp *Cont) {
-    return B.record(RecordKind::Std,
-                    {{CValue::intC(5), false}, {CValue::intC(6), false}}, V,
-                    Cont);
-  };
-  Cexp *P = MakeArg(
-      Arg1, MakeArg(Arg2, B.fix({Fn}, B.fix({Ret},
-                                            B.app(CValue::var(F),
-                                                  {CValue::var(Arg1),
-                                                   CValue::var(RK)})))));
-  CompilerOptions O = CompilerOptions::fag();
-  O.InlineSmallFns = false;
-  optimize(P, O);
-  EXPECT_GE(Stats.CensusFlattened, 1u);
-}
-
-TEST_F(FixpointFixture, CensusFlatteningRefusesEscapingAlias) {
-  // Same shape, but the body also stores the record parameter into
-  // another record — the alias escapes, so the parameter is not
-  // only-word-selected and the rewrite must refuse.
-  CVar F = B.fresh(), P1 = B.fresh(), K = B.fresh();
-  CVar S0 = B.fresh(), S1 = B.fresh(), W = B.fresh(), Esc = B.fresh();
-  Cexp *Body = B.select(
-      0, false, CValue::var(P1), S0, Cty::intTy(),
-      B.select(
-          1, false, CValue::var(P1), S1, Cty::intTy(),
-          B.record(RecordKind::Std, {{CValue::var(P1), false}}, Esc,
-                   B.arith(CpsOp::IAdd, {CValue::var(S0), CValue::var(Esc)},
-                           W, Cty::intTy(),
-                           B.app(CValue::var(K), {CValue::var(W)})))));
-  CFun *Fn = B.fun(CFun::Kind::Known, F, {P1, K},
-                   {Cty::ptrUnknown(), Cty::cntTy()}, Body);
-  CVar RK = B.fresh(), RX = B.fresh();
-  CVar Arg1 = B.fresh(), Arg2 = B.fresh();
-  CFun *Ret = B.fun(CFun::Kind::Cont, RK, {RX}, {Cty::intTy()},
-                    B.app(CValue::var(F),
-                          {CValue::var(Arg2), CValue::var(RK)}));
-  auto MakeArg = [&](CVar V, Cexp *Cont) {
-    return B.record(RecordKind::Std,
-                    {{CValue::intC(5), false}, {CValue::intC(6), false}}, V,
-                    Cont);
-  };
-  Cexp *P = MakeArg(
-      Arg1, MakeArg(Arg2, B.fix({Fn}, B.fix({Ret},
-                                            B.app(CValue::var(F),
-                                                  {CValue::var(Arg1),
-                                                   CValue::var(RK)})))));
-  CompilerOptions O = CompilerOptions::fag();
-  O.InlineSmallFns = false;
-  optimize(P, O);
-  EXPECT_EQ(Stats.CensusFlattened, 0u);
 }
 
 TEST_F(FixpointFixture, WrapDedupCancelsNonAdjacentRewrap) {

@@ -223,6 +223,55 @@ TEST(ProtocolTest, MessagePayloadsRoundTrip) {
   EXPECT_EQ(E2.Message, "busy");
 }
 
+// Option bytes a well-behaved client never sends must be refused, not
+// clamped or masked: unknown ablation bits (including the retired
+// census-fag bit 2), out-of-range enum bytes, and an options block of the
+// old 19-field schema.
+TEST(ProtocolTest, OptionRangesAreRejected) {
+  CompileRequest Req;
+  Req.Opts = CompilerOptions::mtd();
+  Req.Source = "val it = 1";
+  const std::string Good = encodeCompileRequest(Req);
+  // Request header (five u64 ids, u32 deadline, u8 prelude flag), then
+  // the options block: field count, variant name, engine, repr ... and
+  // the prelude and disable bytes last, right before the source string.
+  const size_t CountAt = 5 * 8 + 4 + 1;
+  const size_t EngineAt = CountAt + 1 + 4 + std::strlen(Req.Opts.VariantName);
+  const size_t ReprAt = EngineAt + 1;
+  const size_t DisableAt = Good.size() - 4 - Req.Source.size() - 1;
+  const size_t PreludeAt = DisableAt - 1;
+  auto Decodes = [](const std::string &Payload, std::string &Err) {
+    CompileRequest Out;
+    Err.clear();
+    return decodeCompileRequest(Payload, Out, Err);
+  };
+  auto Patched = [&Good](size_t At, uint8_t V) {
+    std::string P = Good;
+    P[At] = static_cast<char>(V);
+    return P;
+  };
+  std::string Err;
+  ASSERT_TRUE(Decodes(Good, Err)) << Err;
+  ASSERT_TRUE(Decodes(Patched(DisableAt, kCpsRuleAll), Err)) << Err;
+
+  EXPECT_FALSE(Decodes(Patched(DisableAt, 0x10), Err));
+  EXPECT_NE(Err.find("cps-opt-disable"), std::string::npos) << Err;
+  EXPECT_FALSE(Decodes(Patched(DisableAt, 2), Err)); // retired fag bit
+  EXPECT_NE(Err.find("cps-opt-disable"), std::string::npos) << Err;
+  EXPECT_FALSE(Decodes(Patched(PreludeAt, 2), Err));
+  EXPECT_NE(Err.find("prelude"), std::string::npos) << Err;
+  EXPECT_FALSE(Decodes(Patched(ReprAt, 0xFF), Err));
+  EXPECT_NE(Err.find("representation"), std::string::npos) << Err;
+  EXPECT_FALSE(Decodes(Patched(EngineAt, 2), Err));
+  EXPECT_NE(Err.find("engine"), std::string::npos) << Err;
+
+  // The old schema carried an i32 phase budget before the disable byte.
+  std::string Old = Patched(CountAt, 19);
+  Old.insert(DisableAt, std::string(4, '\0'));
+  EXPECT_FALSE(Decodes(Old, Err));
+  EXPECT_NE(Err.find("schema mismatch"), std::string::npos) << Err;
+}
+
 TEST(ProtocolTest, ProgramCodecIsBitExact) {
   // Every benchmark under every variant: encode, decode, byte-compare.
   size_t NumVariants;

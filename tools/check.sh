@@ -17,14 +17,14 @@
 #    normal form on every row (no cap or ceiling hits), stay >= 1.5x
 #    faster in the cps_opt phase, and clear the dynamic-instruction
 #    reduction gates; then a CLI differential — one program compiled at
-#    the fixpoint default, under --cps-opt-max-phases=10, under
-#    --cps-opt=rounds, and with every fixpoint rule ablated must print
-#    identical results.
+#    the fixpoint default, under --cps-opt=rounds, and with every
+#    fixpoint extra ablated must print identical results.
 # 6. Smoke the native backend: the AOT gate (native_throughput --smoke,
 #    bit-identical to threaded dispatch and >= 3x geomean ips), a CLI
 #    --backend=native run diffed against the VM run, and strict CLI
 #    option validation (--vm-dispatch / --cps-opt / --backend with
-#    unknown values must exit 64, not silently fall back).
+#    unknown values, and the retired --cps-opt-max-phases flag and
+#    fag ablation, must exit 64, not silently fall back or be ignored).
 # 7. Smoke the prelude snapshot: compile_throughput --smoke (front-end
 #    speedup report + prelude-mode byte identity over the 72-job
 #    matrix), plus a CLI differential — one corpus program compiled
@@ -126,12 +126,11 @@ echo "== smoke: opt_throughput (fixpoint parity + reduction + 1.5x gates) =="
 (cd "$ROOT/build" && ./bench/opt_throughput --smoke \
   --out="$ROOT/build/BENCH_opt_smoke.json")
 
-echo "== smoke: fixpoint CLI vs capped / rounds / ablated =="
+echo "== smoke: fixpoint CLI vs rounds / ablated =="
 FIX_EXPR='fun main () = let fun go 0 acc = acc | go n acc = go (n - 1) (acc + n * n) in go 50 0 end'
 FIX_OUT="$("$SMLTCC" --expr "$FIX_EXPR")"
 echo "$FIX_OUT" | grep 'result = 42925' >/dev/null
-for FixAlt in --cps-opt-max-phases=10 --cps-opt=rounds \
-              --cps-opt-disable=eta,fag,wrapcancel,hoist; do
+for FixAlt in --cps-opt=rounds --cps-opt-disable=eta,wrapcancel,hoist; do
   ALT_OUT="$("$SMLTCC" "$FixAlt" --expr "$FIX_EXPR")"
   if [[ "$FIX_OUT" != "$ALT_OUT" ]]; then
     echo "FAIL: $FixAlt output differs from the fixpoint default" >&2
@@ -170,6 +169,7 @@ echo "== smoke: strict CLI option validation (exit 64 on unknown values) =="
 for Bad in --vm-dispatch=bogus --cps-opt=bogus --backend=bogus \
            --prelude=bogus --log-level=bogus --cps-opt-max-phases=bogus \
            --cps-opt-max-phases=0 --cps-opt-max-phases=999999 \
+           --cps-opt-max-phases=10 --cps-opt-disable=fag \
            --cps-opt-disable=bogus --cps-opt-disable=; do
   if "$SMLTCC" "$Bad" --expr 'fun main () = 1' >/dev/null 2>&1; then
     echo "FAIL: $Bad was accepted; unknown option values must be rejected" >&2
