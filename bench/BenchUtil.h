@@ -3,8 +3,10 @@
 #ifndef SMLTC_BENCH_BENCHUTIL_H
 #define SMLTC_BENCH_BENCHUTIL_H
 
+#include "corpus/Baseline.h"
 #include "corpus/Corpus.h"
 #include "driver/Batch.h"
+#include "driver/CompileCache.h"
 #include "driver/Compiler.h"
 
 #include <cstdio>
@@ -27,50 +29,11 @@ struct Measurement {
   double CompileSec = 0;
   double ExecSec = 0; ///< wall time inside the dispatch loop
   int64_t Result = 0;
-  // Semantic-identity observables (the opt_throughput oracle): two
-  // compiles of the same source are equivalent iff result, printed
-  // output, trap state, and store-barrier count all agree.
+  // Semantic observables, compared against the corpus baseline.
   uint64_t BarrierStores = 0;
   std::string Output;
   bool Trapped = false;
 };
-
-inline Measurement measure(const std::string &Source,
-                           const CompilerOptions &Opts,
-                           const VmOptions &VmBase = VmOptions()) {
-  Measurement M;
-  CompileOutput C = Compiler::compile(Source, Opts);
-  if (!C.Ok) {
-    std::fprintf(stderr, "compile failed (%s): %s\n", Opts.VariantName,
-                 C.Errors.c_str());
-    return M;
-  }
-  M.CompileSec = C.Metrics.TotalSec;
-  M.CodeSize = C.Metrics.CodeSize;
-  VmOptions V = VmBase;
-  V.UnalignedFloats = Opts.UnalignedFloats;
-  ExecResult R = execute(C.Program, V);
-  if (!R.Ok || R.UncaughtException) {
-    std::fprintf(stderr, "run failed (%s): %s\n", Opts.VariantName,
-                 R.TrapMessage.c_str());
-    return M;
-  }
-  M.Ok = true;
-  M.Cycles = R.Cycles;
-  M.Instructions = R.Instructions;
-  M.AllocWords = R.AllocWords32;
-  M.CopiedWords = R.GcCopiedWords;
-  M.MajorCopiedWords = R.Metrics.MajorCopiedWords;
-  M.MaxPauseWords = R.Metrics.MaxMinorPauseWords > R.Metrics.MaxMajorPauseWords
-                        ? R.Metrics.MaxMinorPauseWords
-                        : R.Metrics.MaxMajorPauseWords;
-  M.ExecSec = R.Metrics.ExecSec;
-  M.Result = R.Result;
-  M.BarrierStores = R.Metrics.BarrierStores;
-  M.Output = R.Output;
-  M.Trapped = R.Trapped;
-  return M;
-}
 
 /// Executes an already-compiled program, filling in the run metrics.
 inline Measurement runCompiled(const CompileOutput &C,
@@ -108,6 +71,36 @@ inline Measurement runCompiled(const CompileOutput &C,
   M.Output = R.Output;
   M.Trapped = R.Trapped;
   return M;
+}
+
+/// Compiles \p Source and executes it, filling in the run metrics.
+inline Measurement measure(const std::string &Source,
+                           const CompilerOptions &Opts,
+                           const VmOptions &VmBase = VmOptions()) {
+  return runCompiled(Compiler::compile(Source, Opts), Opts, "", VmBase);
+}
+
+/// The committed corpus-baseline row of \p P under \p Opts, or null.
+inline const BaselineRow *baselineRow(const BenchmarkProgram &P,
+                                      const CompilerOptions &Opts) {
+  for (const BaselineRow &R : corpusBaseline())
+    if (std::string(R.Bench) == P.Name &&
+        std::string(R.Variant) == Opts.VariantName)
+      return &R;
+  return nullptr;
+}
+
+/// Writes a JSON report to \p Path; false (with a message) on failure.
+inline bool writeReport(const std::string &Path, const std::string &Json) {
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
+  if (!Out) {
+    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
+    return false;
+  }
+  std::fprintf(Out, "%s\n", Json.c_str());
+  std::fclose(Out);
+  std::printf("wrote %s\n", Path.c_str());
+  return true;
 }
 
 /// The full Figure 7/8 compile matrix: every corpus benchmark under every

@@ -3,19 +3,17 @@
 // Measures the batch engine on the full Figure 7/8 workload: the twelve
 // corpus benchmarks compiled under all six variants (72 jobs).
 //
-//   1. front-end gate        per-job parse+elab seconds, `--prelude=inline`
-//      vs the default prelude snapshot -> geomean speedup must be >= 1.4x
-//      (full runs; smoke runs report but do not gate), with every program
-//      verified bit-identical between the two prelude modes
-//   2. sequential baseline   (--jobs 1, cache off)
-//   3. parallel              (--jobs N, cache off)  -> wall-clock speedup,
-//      with every generated program verified bit-identical to pass 2
-//   4. cold + warm cache     (--jobs N, shared CompileCache) -> hit rate
+//   1. sequential            (--jobs 1, cache off) -> every job is served
+//      by the prelude snapshot, the snapshot is built exactly once, and
+//      every program equals its committed corpus-baseline row
+//      (corpus/Baseline.cpp: code words and programBytes hash)
+//   2. parallel              (--jobs N, cache off)  -> wall-clock speedup,
+//      with every generated program verified bit-identical to pass 1
+//   3. cold + warm cache     (--jobs N, shared CompileCache) -> hit rate
 //
-// Usage: compile_throughput [N] [--smoke] [--iters=K] [--out=PATH]
+// Usage: compile_throughput [N] [--smoke] [--out=PATH]
 //   N         worker threads (default: hardware concurrency, min 4)
-//   --smoke   1 front-end timing iteration instead of 3, and the 1.4x
-//             front-end gate is reported but not enforced (CI smoke)
+//   --smoke   CI smoke run (every gate is exact, so it gates the same)
 //   --out     JSON report path (default: BENCH_compile.json)
 //
 //===----------------------------------------------------------------------===//
@@ -32,65 +30,18 @@
 using namespace smltc;
 using namespace smltc::bench;
 
-namespace {
-
-constexpr double kFrontEndGate = 1.4;
-
-struct FrontRun {
-  bool Ok = false;
-  double FrontSec = 0; ///< best-of-iters parse + elab (+ snapshot acquire)
-  std::string Bytes;   ///< programBytes of the last compile
-};
-
-FrontRun timeFrontEnd(const CompileJob &J, PreludeMode Mode, int Iters) {
-  FrontRun R;
-  CompilerOptions Opts = J.Opts;
-  Opts.Prelude = Mode;
-  R.FrontSec = 1e18;
-  for (int I = 0; I < Iters; ++I) {
-    CompileOutput C = Compiler::compile(J.Source, Opts, J.WithPrelude);
-    if (!C.Ok) {
-      std::fprintf(stderr, "compile failed (%s, %s prelude): %s\n",
-                   Opts.VariantName,
-                   Mode == PreludeMode::Snapshot ? "snapshot" : "inline",
-                   C.Errors.c_str());
-      return R;
-    }
-    // The snapshot side is charged its acquisition cost, including the
-    // one-time construction on the very first compile of the process.
-    double Front =
-        C.Metrics.ParseSec + C.Metrics.ElabSec + C.Metrics.PreludeElabSec;
-    if (Front < R.FrontSec)
-      R.FrontSec = Front;
-    if (I + 1 == Iters) {
-      R.Bytes = programBytes(C.Program);
-      R.Ok = true;
-    }
-  }
-  return R;
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
   size_t NumJobs = 0;
   bool Smoke = false;
-  int Iters = 3;
   std::string OutPath = "BENCH_compile.json";
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0)
       Smoke = true;
-    else if (std::strncmp(Argv[I], "--iters=", 8) == 0)
-      Iters = std::atoi(Argv[I] + 8);
     else if (std::strncmp(Argv[I], "--out=", 6) == 0)
       OutPath = Argv[I] + 6;
     else
       NumJobs = static_cast<size_t>(std::atoi(Argv[I]));
   }
-  if (Smoke)
-    Iters = 1;
-  if (Iters < 1)
-    Iters = 1;
   if (NumJobs == 0) {
     NumJobs = std::thread::hardware_concurrency();
     if (NumJobs < 4)
@@ -106,56 +57,9 @@ int main(int Argc, char **Argv) {
   W.beginObject();
   W.field("bench", "compile_throughput");
   W.field("smoke", Smoke);
-  W.field("iterations", Iters);
   W.field("jobs", static_cast<uint64_t>(Jobs.size()));
 
-  // --- Pass 1: front-end seconds, inline prelude vs snapshot ---
-  std::printf("front end (best of %d): inline prelude vs snapshot\n", Iters);
-  bool FrontOk = true, FrontIdentical = true;
-  std::vector<double> FrontRatios;
-  double InlineFrontTotal = 0, SnapFrontTotal = 0;
-  W.key("front_end_rows").beginArray();
-  for (const CompileJob &J : Jobs) {
-    FrontRun Inl = timeFrontEnd(J, PreludeMode::Inline, Iters);
-    FrontRun Snap = timeFrontEnd(J, PreludeMode::Snapshot, Iters);
-    if (!Inl.Ok || !Snap.Ok) {
-      FrontOk = false;
-      continue;
-    }
-    bool Identical = Inl.Bytes == Snap.Bytes;
-    FrontIdentical = FrontIdentical && Identical;
-    double Ratio = Snap.FrontSec > 0 ? Inl.FrontSec / Snap.FrontSec : 1.0;
-    FrontRatios.push_back(Ratio);
-    InlineFrontTotal += Inl.FrontSec;
-    SnapFrontTotal += Snap.FrontSec;
-    W.beginObject();
-    W.field("variant", J.Opts.VariantName);
-    W.field("inline_front_us", Inl.FrontSec * 1e6, 2);
-    W.field("snapshot_front_us", Snap.FrontSec * 1e6, 2);
-    W.field("ratio", Ratio, 3);
-    W.field("identical", Identical);
-    W.endObject();
-  }
-  W.endArray();
-  double FrontGeomean = geomean(FrontRatios);
-  const PreludeSnapshot *Snap = PreludeSnapshot::get();
-  double BuildSec = Snap ? Snap->buildSeconds() : 0;
-  std::printf("  inline total  %8.2f ms, snapshot total %8.2f ms "
-              "(one-time build %.2f ms)\n",
-              InlineFrontTotal * 1e3, SnapFrontTotal * 1e3, BuildSec * 1e3);
-  std::printf("  geomean front-end speedup: %.2fx (gate: >= %.1fx%s)\n",
-              FrontGeomean, kFrontEndGate,
-              Smoke ? ", not enforced in smoke" : "");
-  std::printf("  prelude-mode code bytes:   %s\n\n",
-              FrontIdentical ? "IDENTICAL" : "DIFFER");
-  W.field("front_end_inline_total_sec", InlineFrontTotal, 6);
-  W.field("front_end_snapshot_total_sec", SnapFrontTotal, 6);
-  W.field("prelude_snapshot_build_sec", BuildSec, 6);
-  W.field("front_end_geomean_speedup", FrontGeomean, 3);
-  W.field("front_end_gate", kFrontEndGate, 1);
-  W.field("front_end_identical", FrontIdentical);
-
-  // --- Pass 2: sequential baseline, no cache ---
+  // --- Pass 1: sequential, no cache, checked against the baseline ---
   BatchOptions Seq;
   Seq.NumThreads = 1;
   BatchCompiler SeqBatch(Seq);
@@ -163,8 +67,40 @@ int main(int Argc, char **Argv) {
   BatchMetrics SeqM = SeqBatch.lastBatch();
   std::printf("sequential (1 thread):   %6.2fs wall, %5.1f programs/sec\n",
               SeqM.WallSec, SeqM.programsPerSec());
+  size_t SnapshotHits = 0, BaselineMismatches = 0;
+  double FrontSec = 0;
+  size_t NumVariants = 0;
+  CompilerOptions::allVariants(NumVariants);
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    const CompileOutput &C = SeqOut[I];
+    const BaselineRow *Row = baselineRow(
+        benchmarkCorpus()[I / NumVariants], Jobs[I].Opts);
+    if (C.Metrics.PreludeSnapshotHit)
+      ++SnapshotHits;
+    if (!C.Ok || !Row || C.Metrics.CodeSize != Row->CodeWords ||
+        fnv1a64(programBytes(C.Program)) != Row->ProgramHash)
+      ++BaselineMismatches;
+    FrontSec += C.Metrics.ParseSec + C.Metrics.ElabSec +
+                C.Metrics.PreludeElabSec;
+  }
+  uint64_t SnapshotBuilds =
+      preludeStats().SnapshotBuilds.load(std::memory_order_relaxed);
+  const PreludeSnapshot *Snap = PreludeSnapshot::get();
+  double BuildSec = Snap ? Snap->buildSeconds() : 0;
+  std::printf("prelude snapshot:        %zu/%zu jobs served, %llu build%s "
+              "(%.2f ms), front end %.2f ms total\n",
+              SnapshotHits, Jobs.size(), (unsigned long long)SnapshotBuilds,
+              SnapshotBuilds == 1 ? "" : "s", BuildSec * 1e3, FrontSec * 1e3);
+  std::printf("corpus baseline:         %s (%zu mismatches)\n\n",
+              BaselineMismatches == 0 ? "EXACT" : "DIFFERS",
+              BaselineMismatches);
+  W.field("snapshot_hits", static_cast<uint64_t>(SnapshotHits));
+  W.field("snapshot_builds", SnapshotBuilds);
+  W.field("prelude_snapshot_build_sec", BuildSec, 6);
+  W.field("front_end_total_sec", FrontSec, 6);
+  W.field("baseline_mismatches", static_cast<uint64_t>(BaselineMismatches));
 
-  // --- Pass 3: parallel, no cache ---
+  // --- Pass 2: parallel, no cache ---
   BatchOptions Par;
   Par.NumThreads = NumJobs;
   BatchCompiler ParBatch(Par);
@@ -188,7 +124,7 @@ int main(int Argc, char **Argv) {
               Speedup, Mismatches == 0 && Failures == 0 ? "IDENTICAL" : "DIFFER",
               Mismatches, Failures);
 
-  // --- Pass 4: content-addressed cache, cold then warm ---
+  // --- Pass 3: content-addressed cache, cold then warm ---
   CompileCache Cache;
   BatchOptions Cached;
   Cached.NumThreads = NumJobs;
@@ -228,23 +164,20 @@ int main(int Argc, char **Argv) {
   W.field("warm_cache_wall_sec", Warm.WallSec, 6);
   W.endObject();
 
-  std::FILE *Out = std::fopen(OutPath.c_str(), "w");
-  bool Wrote = false;
-  if (Out) {
-    std::fprintf(Out, "%s\n", W.str().c_str());
-    std::fclose(Out);
-    Wrote = true;
-    std::printf("wrote %s\n", OutPath.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", OutPath.c_str());
-  }
-
-  bool Ok = Wrote && FrontOk && FrontIdentical && Mismatches == 0 &&
+  bool Ok = writeReport(OutPath, W.str()) && Mismatches == 0 &&
             Failures == 0 && WarmMismatches == 0 && Warm.CacheHits > 0;
-  if (!Smoke && FrontGeomean < kFrontEndGate) {
+  if (SnapshotHits != Jobs.size() || SnapshotBuilds != 1) {
     std::fprintf(stderr,
-                 "FAIL: front-end geomean %.2fx below the %.1fx gate\n",
-                 FrontGeomean, kFrontEndGate);
+                 "FAIL: %zu/%zu jobs served by the prelude snapshot, %llu "
+                 "builds (want every job, one build)\n",
+                 SnapshotHits, Jobs.size(),
+                 (unsigned long long)SnapshotBuilds);
+    Ok = false;
+  }
+  if (BaselineMismatches != 0) {
+    std::fprintf(stderr, "FAIL: %zu programs differ from the committed "
+                         "corpus baseline\n",
+                 BaselineMismatches);
     Ok = false;
   }
   return Ok ? 0 : 1;

@@ -4,26 +4,28 @@
 // Figure 7 workload: the twelve corpus benchmarks under all six compiler
 // variants, each executed by three engine configurations:
 //
-//   legacy    per-step decoded switch, plain two-space GC   (the seed VM)
-//   switch    pre-decoded dense code, portable switch loop, nursery GC
-//   threaded  pre-decoded dense code, computed-goto loop,   nursery GC
+//   switch     pre-decoded dense code, portable switch loop, nursery GC
+//   threaded   pre-decoded dense code, computed-goto loop,   nursery GC
+//   two-space  the threaded loop with the nursery off (NurseryKb=0)
 //
-// Every configuration must produce the expected checksum and retire the
-// same instruction count — cycles feed Figure 7, so the engines are
-// interchangeable oracles. On top of correctness the full run gates:
-//
-//   * geomean(threaded ips / legacy ips) >= 1.5
-//   * under a constrained heap (where both collectors actually run), the
-//     nursery's pause-causing (major-collection) copied words stay within
-//     1.10x of the two-space collector's, and the largest single pause
-//     shrinks. Total copied words are reported too: generational GC
-//     deliberately trades more total copying (frequent cheap minor
-//     scavenges) for small pauses and less major-collection work.
+// Switch and threaded must reproduce the committed corpus baseline
+// (corpus/Baseline.cpp) exactly: result, dynamic instructions, cycles,
+// allocated words and GC-copied words — cycles feed Figure 7. The
+// two-space run must match the result and instruction count (only GC
+// work may differ). On top of correctness the full run gates, on
+// threaded dispatch under a constrained heap (where both collectors
+// actually run): the nursery's pause-causing (major-collection) copied
+// words stay within 1.10x of the two-space collector's, and the largest
+// single pause shrinks. Total copied words are reported too: generational
+// GC deliberately trades more total copying (frequent cheap minor
+// scavenges) for small pauses and less major-collection work.
 //
 // Results land in BENCH_exec.json.
 //
 // Usage: exec_throughput [--smoke] [--iters=N] [--out=PATH]
 //   --smoke   one iteration, correctness gates only (CI smoke run)
+//             (instructions/second are reported, never gated: they
+//             depend on the host)
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,11 +43,18 @@ struct Row {
   const char *Bench;
   const char *Variant;
   uint64_t Instructions = 0;
-  double LegacyIps = 0;
   double SwitchIps = 0;
   double ThreadedIps = 0;
-  double Speedup = 0; // threaded vs legacy
+  double TwoSpaceIps = 0;
+  double Speedup = 0; // threaded vs switch
 };
+
+/// Whether one run reproduces the run columns of its baseline row.
+bool matchesBaseline(const Measurement &M, const BaselineRow &Row) {
+  return M.Result == Row.Result && M.Instructions == Row.Instructions &&
+         M.Cycles == Row.Cycles && M.AllocWords == Row.AllocWords32 &&
+         M.CopiedWords == Row.GcCopiedWords;
+}
 
 /// Best-of-N instructions/sec for one engine configuration.
 Measurement bestOf(const CompileOutput &C, const CompilerOptions &O,
@@ -90,13 +99,12 @@ int main(int Argc, char **Argv) {
   size_t NumVariants;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
 
-  VmOptions Legacy;
-  Legacy.Dispatch = VmDispatch::Legacy;
-  Legacy.NurseryKb = 0; // the seed interpreter: plain two-space GC
   VmOptions Switch;
   Switch.Dispatch = VmDispatch::Switch;
   VmOptions Threaded;
   Threaded.Dispatch = VmDispatch::Threaded;
+  VmOptions TwoSpace = Threaded;
+  TwoSpace.NurseryKb = 0;
 
   std::printf("exec_throughput: 12 benchmarks x %zu variants, %d iteration%s"
               " per engine%s (threaded dispatch %savailable)\n\n",
@@ -114,13 +122,13 @@ int main(int Argc, char **Argv) {
   std::vector<CompileOutput> Outs = Batch.compileAll(Jobs);
 
   std::vector<Row> Rows;
-  std::vector<double> Speedups;
+  std::vector<double> Speedups, TwoSpaceRatios;
   uint64_t NurseryCopied = 0, NurseryMajorCopied = 0, TwoSpaceCopied = 0;
   uint64_t NurseryMaxPause = 0, TwoSpaceMaxPause = 0;
   size_t Failures = 0;
 
   std::printf("%-10s %-8s %14s %12s %12s %12s %8s\n", "benchmark", "variant",
-              "instructions", "legacy", "switch", "threaded", "speedup");
+              "instructions", "switch", "threaded", "two-space", "speedup");
   for (size_t B = 0; B < benchmarkCorpus().size(); ++B) {
     const BenchmarkProgram &P = benchmarkCorpus()[B];
     for (size_t V = 0; V < NumVariants; ++V) {
@@ -130,51 +138,59 @@ int main(int Argc, char **Argv) {
       R.Bench = P.Name;
       R.Variant = O.VariantName;
 
-      Measurement ML = bestOf(C, O, P.Name, Legacy, Iters, R.LegacyIps);
+      const BaselineRow *Row = baselineRow(P, O);
       Measurement MS = bestOf(C, O, P.Name, Switch, Iters, R.SwitchIps);
       Measurement MT = bestOf(C, O, P.Name, Threaded, Iters, R.ThreadedIps);
-      if (!ML.Ok || !MS.Ok || !MT.Ok) {
+      Measurement M2 = bestOf(C, O, P.Name, TwoSpace, Iters, R.TwoSpaceIps);
+      if (!Row || !MS.Ok || !MT.Ok || !M2.Ok) {
         ++Failures;
         continue;
       }
-      // The engines are oracles for each other: same checksum, same
-      // retired-instruction count, same cycle count.
-      if (ML.Result != P.ExpectedResult || MS.Result != P.ExpectedResult ||
-          MT.Result != P.ExpectedResult ||
-          ML.Instructions != MS.Instructions ||
-          ML.Instructions != MT.Instructions || MS.Cycles != MT.Cycles) {
+      // Both engines reproduce the committed row exactly; the nursery may
+      // change GC work, never the result or the instruction count.
+      if (!matchesBaseline(MS, *Row) || !matchesBaseline(MT, *Row) ||
+          M2.Result != Row->Result || M2.Instructions != Row->Instructions) {
         std::fprintf(stderr,
-                     "MISMATCH %s %s: results %lld/%lld/%lld "
-                     "insns %llu/%llu/%llu\n",
-                     P.Name, O.VariantName, (long long)ML.Result,
-                     (long long)MS.Result, (long long)MT.Result,
-                     (unsigned long long)ML.Instructions,
+                     "MISMATCH %s %s vs baseline: results %lld/%lld/%lld "
+                     "insns %llu/%llu/%llu cycles %llu/%llu (want %lld, "
+                     "%llu insns, %llu cycles)\n",
+                     P.Name, O.VariantName, (long long)MS.Result,
+                     (long long)MT.Result, (long long)M2.Result,
                      (unsigned long long)MS.Instructions,
-                     (unsigned long long)MT.Instructions);
+                     (unsigned long long)MT.Instructions,
+                     (unsigned long long)M2.Instructions,
+                     (unsigned long long)MS.Cycles,
+                     (unsigned long long)MT.Cycles, (long long)Row->Result,
+                     (unsigned long long)Row->Instructions,
+                     (unsigned long long)Row->Cycles);
         ++Failures;
         continue;
       }
       R.Instructions = MT.Instructions;
-      R.Speedup = R.LegacyIps > 0 ? R.ThreadedIps / R.LegacyIps : 0;
+      R.Speedup = R.SwitchIps > 0 ? R.ThreadedIps / R.SwitchIps : 0;
       if (R.Speedup > 0)
         Speedups.push_back(R.Speedup);
+      if (R.TwoSpaceIps > 0)
+        TwoSpaceRatios.push_back(R.ThreadedIps / R.TwoSpaceIps);
       std::printf("%-10s %-8s %14llu %12.0f %12.0f %12.0f %7.2fx\n", P.Name,
                   O.VariantName + 4,
-                  (unsigned long long)R.Instructions, R.LegacyIps,
-                  R.SwitchIps, R.ThreadedIps, R.Speedup);
+                  (unsigned long long)R.Instructions, R.SwitchIps,
+                  R.ThreadedIps, R.TwoSpaceIps, R.Speedup);
       Rows.push_back(R);
     }
   }
 
   double Geomean = geomean(Speedups);
-  std::printf("\ngeomean speedup (threaded+nursery vs legacy): %.2fx\n",
-              Geomean);
+  double NurseryGeomean = geomean(TwoSpaceRatios);
+  std::printf("\ngeomean speedup: threaded vs switch %.2fx, nursery vs "
+              "two-space %.2fx (reported, not gated)\n",
+              Geomean, NurseryGeomean);
 
   // GC-pressure phase: the default heap is large enough that the
   // two-space collector barely runs, so copied-words comparisons are
   // only meaningful under a small heap that forces both collectors to
-  // work. Same dispatch both sides — only the nursery differs.
-  VmOptions TightGen;
+  // work. Threaded dispatch both sides — only the nursery differs.
+  VmOptions TightGen = Threaded;
   TightGen.HeapSemiWords = 1 << 14;
   TightGen.NurseryKb = 16;
   VmOptions TightTwo = TightGen;
@@ -224,25 +240,27 @@ int main(int Argc, char **Argv) {
   if (Out) {
     std::fprintf(Out,
                  "{\"bench\":\"exec_throughput\",\"iterations\":%d,"
-                 "\"smoke\":%s,\"geomean_speedup\":%.4f,"
+                 "\"smoke\":%s,\"geomean_threaded_vs_switch\":%.4f,"
+                 "\"geomean_nursery_vs_two_space\":%.4f,"
                  "\"gc_major_copied_ratio\":%.4f,"
                  "\"gc_total_copied_ratio\":%.4f,"
                  "\"gc_max_pause_words\":%llu,"
                  "\"gc_two_space_max_pause_words\":%llu,"
                  "\"failures\":%zu,\"rows\":[",
-                 Iters, Smoke ? "true" : "false", Geomean, MajorRatio,
+                 Iters, Smoke ? "true" : "false", Geomean, NurseryGeomean,
+                 MajorRatio,
                  TotalRatio, (unsigned long long)NurseryMaxPause,
                  (unsigned long long)TwoSpaceMaxPause, Failures);
     for (size_t I = 0; I < Rows.size(); ++I) {
       const Row &R = Rows[I];
       std::fprintf(Out,
                    "%s{\"benchmark\":\"%s\",\"variant\":\"%s\","
-                   "\"instructions\":%llu,\"legacy_ips\":%.0f,"
-                   "\"switch_ips\":%.0f,\"threaded_ips\":%.0f,"
+                   "\"instructions\":%llu,\"switch_ips\":%.0f,"
+                   "\"threaded_ips\":%.0f,\"two_space_ips\":%.0f,"
                    "\"speedup\":%.4f}",
                    I ? "," : "", R.Bench, R.Variant,
-                   (unsigned long long)R.Instructions, R.LegacyIps,
-                   R.SwitchIps, R.ThreadedIps, R.Speedup);
+                   (unsigned long long)R.Instructions, R.SwitchIps,
+                   R.ThreadedIps, R.TwoSpaceIps, R.Speedup);
     }
     std::fprintf(Out, "]}\n");
     std::fclose(Out);
@@ -254,12 +272,8 @@ int main(int Argc, char **Argv) {
 
   bool Ok = Failures == 0;
   if (!Smoke) {
-    // Performance gates only make sense on a quiet machine with real
-    // iteration counts; the smoke run checks correctness alone.
-    if (Geomean < 1.5) {
-      std::fprintf(stderr, "FAIL: geomean speedup %.2fx < 1.5x\n", Geomean);
-      Ok = false;
-    }
+    // GC gates use real iteration counts; the smoke run checks
+    // correctness alone.
     if (MajorRatio > 1.10) {
       std::fprintf(stderr, "FAIL: major-copied ratio %.3f > 1.10\n",
                    MajorRatio);

@@ -1,34 +1,31 @@
 //===- bench/opt_throughput.cpp - CPS-optimizer fixpoint gate -------------------===//
 //
-// Gates the fixpoint shrinker's claim: running contraction to a true
-// normal form with the fixpoint extras (eta, wrap/unwrap cancellation
-// breadth, invariant hoisting) produces strictly better programs than the
-// bounded rounds engine, at compile-time cost that still beats its
-// census+rebuild rounds.
+// Gates the CPS optimizer against the committed corpus baseline
+// (corpus/Baseline.cpp) and measures what its fixpoint extras (eta,
+// wrap/unwrap cancellation breadth, invariant hoisting) buy over its base
+// cadence.
 //
 // Over the full Figure 7/8 compile matrix (12 benchmarks x 6 variants =
-// 72 jobs), each job is compiled under the rounds oracle and the
-// fixpoint shrink engine:
+// 72 jobs), each job is compiled by default and under the base cadence
+// (--cps-opt-disable=all):
 //
-//   1. semantic identity: same result, same printed output, same trap
-//      state, same store-barrier count. The fixpoint rules may reshape
-//      the program, never its observables.
-//   2. ratchet: per row, shrink's dynamic instruction count never
-//      exceeds rounds'. No row regresses.
-//   3. convergence: no shrink row stops at the phase safety ceiling.
-//   4. throughput: best-of-N cps_opt phase seconds per engine; the gate
-//      is geomean(rounds / shrink) >= 1.5x even though the fixpoint
-//      engine now runs more phases.
-//   5. instruction wins: geomean dynamic-instruction reduction >= 1% over
-//      the affected rows (any nonzero delta) and >= 3% over the
-//      materially affected rows (reduction >= 1%). The full-corpus
-//      geomean is reported unfiltered for context — most rows were
-//      already at normal form under the rounds engine, so gating on it
-//      would only reward noise.
+//   1. baseline: the default program's observables (result, printed
+//      output, trap state, store-barrier count, dynamic instructions),
+//      its optimizer phases and arena bytes, and the base cadence's
+//      dynamic instructions all equal the committed row exactly.
+//   2. ratchet: per row, the default never executes more dynamic
+//      instructions than the base cadence.
+//   3. convergence: no row stops at the phase safety ceiling.
+//   4. instruction wins: geomean dynamic-instruction reduction, default
+//      vs base cadence, >= 1% over the affected rows (any nonzero delta)
+//      and >= 3% over the materially affected rows (reduction >= 1%). The
+//      full-corpus geomean is reported unfiltered for context.
 //
-// Each row also carries a per-rule ablation: one extra fixpoint compile
-// per --cps-opt-disable rule, recording how many dynamic instructions
-// return when that rule is turned off.
+// The best-of-N cps_opt phase seconds per row are reported, not gated:
+// wall time depends on the host, the phase and arena counts do not.
+// Each row also carries a per-rule ablation: one extra compile per
+// --cps-opt-disable rule, recording how many dynamic instructions return
+// when that rule is turned off.
 //
 // Results land in BENCH_opt.json.
 //
@@ -49,18 +46,16 @@ using namespace smltc::bench;
 
 namespace {
 
-struct EngineRun {
+struct OptRun {
   bool Ok = false;
   double BestOptSec = 0;
-  uint64_t ArenaBytes = 0; ///< optimizer arena churn, last compile
-  CpsOptStats Opt;
-  Measurement M; ///< VM run of the last compile
+  CpsOptStats Opt; ///< optimizer statistics of the last compile
+  Measurement M;   ///< VM run of the last compile
 };
 
-EngineRun timeEngine(const BenchmarkProgram &P, CompilerOptions Opts,
-                     CpsOptEngine Engine, int Iters) {
-  Opts.CpsOpt = Engine;
-  EngineRun R;
+OptRun timeOptimizer(const BenchmarkProgram &P, const CompilerOptions &Opts,
+                     int Iters) {
+  OptRun R;
   for (int I = 0; I < Iters; ++I) {
     CompileOutput C = Compiler::compile(P.Source, Opts);
     if (!C.Ok) {
@@ -72,10 +67,6 @@ EngineRun timeEngine(const BenchmarkProgram &P, CompilerOptions Opts,
     if (R.BestOptSec == 0 || S < R.BestOptSec)
       R.BestOptSec = S;
     if (I + 1 == Iters) {
-      R.ArenaBytes = C.Metrics.Opt.ArenaBytesAfter < C.Metrics.Opt.ArenaBytesBefore
-                         ? 0
-                         : C.Metrics.Opt.ArenaBytesAfter -
-                               C.Metrics.Opt.ArenaBytesBefore;
       R.Opt = C.Metrics.Opt;
       R.M = runCompiled(C, Opts, P.Name);
       R.Ok = R.M.Ok;
@@ -95,15 +86,12 @@ constexpr Ablation kAblations[] = {
     {"hoist", kCpsRuleHoist},
 };
 
-/// Dynamic instruction count with one fixpoint rule disabled; 0 on failure.
+/// Dynamic instruction count with the rules in \p DisableBits disabled;
+/// 0 on failure.
 uint64_t ablatedInstructions(const BenchmarkProgram &P, CompilerOptions Opts,
-                             uint8_t DisableBit) {
-  Opts.CpsOpt = CpsOptEngine::Shrink;
-  Opts.CpsOptDisable = DisableBit;
-  CompileOutput C = Compiler::compile(P.Source, Opts);
-  if (!C.Ok)
-    return 0;
-  Measurement M = runCompiled(C, Opts, P.Name);
+                             uint8_t DisableBits) {
+  Opts.CpsOptDisable = DisableBits;
+  Measurement M = measure(P.Source, Opts);
   return M.Ok ? M.Instructions : 0;
 }
 
@@ -129,20 +117,19 @@ int main(int Argc, char **Argv) {
   size_t NumVariants = 0;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
   size_t NumJobs = benchmarkCorpus().size() * NumVariants;
-  std::printf("opt_throughput: %zu jobs, best of %d compile%s per engine%s\n\n",
-              NumJobs, Iters, Iters == 1 ? "" : "s", Smoke ? " [smoke]" : "");
-  std::printf("%-10s %-8s %12s %12s %8s %9s  %s\n", "bench", "variant",
-              "rounds(us)", "shrink(us)", "ratio", "instr-d%", "semantic");
+  std::printf("opt_throughput: %zu jobs, best of %d compile%s%s\n\n", NumJobs,
+              Iters, Iters == 1 ? "" : "s", Smoke ? " [smoke]" : "");
+  std::printf("%-10s %-8s %10s %7s %10s %9s  %s\n", "bench", "variant",
+              "opt(us)", "phases", "arena(KiB)", "instr-d%", "baseline");
 
-  bool AllIdentical = true;
+  bool AllMatch = true;
   bool AllOk = true;
   bool AnyRegressed = false;
   bool AnyCapped = false;
-  std::vector<double> SpeedRatios;
-  // Dynamic-instruction ratios rounds/shrink (>= 1 means shrink won).
+  // Dynamic-instruction ratios base/default (>= 1 means the extras won).
   std::vector<double> InstrAll, InstrAffected, InstrMaterial;
-  double RoundsTotal = 0, ShrinkTotal = 0;
-  uint64_t RoundsArena = 0, ShrinkArena = 0;
+  double OptTotal = 0;
+  uint64_t ArenaTotal = 0;
   uint64_t RuleDeltaTotals[std::size(kAblations)] = {};
 
   obs::JsonWriter W;
@@ -155,63 +142,58 @@ int main(int Argc, char **Argv) {
 
   for (const BenchmarkProgram &P : benchmarkCorpus()) {
     for (size_t V = 0; V < NumVariants; ++V) {
-      EngineRun RR = timeEngine(P, Variants[V], CpsOptEngine::Rounds, Iters);
-      EngineRun SR = timeEngine(P, Variants[V], CpsOptEngine::Shrink, Iters);
-      if (!RR.Ok || !SR.Ok) {
+      const BaselineRow *Row = baselineRow(P, Variants[V]);
+      OptRun R = timeOptimizer(P, Variants[V], Iters);
+      uint64_t BaseInstr = ablatedInstructions(P, Variants[V], kCpsRuleAll);
+      if (!Row || !R.Ok || BaseInstr == 0) {
         AllOk = false;
         continue;
       }
-      bool Identical = RR.M.Result == SR.M.Result &&
-                       RR.M.Output == SR.M.Output &&
-                       RR.M.Trapped == SR.M.Trapped &&
-                       RR.M.BarrierStores == SR.M.BarrierStores &&
-                       RR.M.Result == P.ExpectedResult;
-      AllIdentical = AllIdentical && Identical;
-      if (SR.M.Instructions > RR.M.Instructions)
+      uint64_t Arena = R.Opt.ArenaBytesAfter - R.Opt.ArenaBytesBefore;
+      bool Match = R.M.Result == Row->Result &&
+                   fnv1a64(R.M.Output) == Row->OutputHash &&
+                   R.M.Trapped == Row->Trapped &&
+                   R.M.BarrierStores == Row->BarrierStores &&
+                   R.M.Instructions == Row->Instructions &&
+                   BaseInstr == Row->BaseInstructions &&
+                   static_cast<uint32_t>(R.Opt.Rounds) == Row->OptPhases &&
+                   Arena == Row->OptArenaBytes;
+      AllMatch = AllMatch && Match;
+      if (R.M.Instructions > BaseInstr)
         AnyRegressed = true;
-      if (SR.Opt.HitSafetyCeiling)
+      if (R.Opt.HitSafetyCeiling)
         AnyCapped = true;
-      double Ratio = SR.BestOptSec > 0 ? RR.BestOptSec / SR.BestOptSec : 1.0;
-      SpeedRatios.push_back(Ratio);
-      double InstrRatio = SR.M.Instructions > 0
-                              ? static_cast<double>(RR.M.Instructions) /
-                                    static_cast<double>(SR.M.Instructions)
+      double InstrRatio = R.M.Instructions > 0
+                              ? static_cast<double>(BaseInstr) /
+                                    static_cast<double>(R.M.Instructions)
                               : 1.0;
       double ReductionPct = (1.0 - 1.0 / InstrRatio) * 100.0;
       InstrAll.push_back(InstrRatio);
-      if (SR.M.Instructions != RR.M.Instructions)
+      if (R.M.Instructions != BaseInstr)
         InstrAffected.push_back(InstrRatio);
       if (ReductionPct >= 1.0)
         InstrMaterial.push_back(InstrRatio);
-      RoundsTotal += RR.BestOptSec;
-      ShrinkTotal += SR.BestOptSec;
-      RoundsArena += RR.ArenaBytes;
-      ShrinkArena += SR.ArenaBytes;
-      std::printf("%-10s %-8s %12.1f %12.1f %7.2fx %8.3f%%  %s\n", P.Name,
-                  Variants[V].VariantName, RR.BestOptSec * 1e6,
-                  SR.BestOptSec * 1e6, Ratio, ReductionPct,
-                  Identical ? "yes" : "NO");
+      OptTotal += R.BestOptSec;
+      ArenaTotal += Arena;
+      std::printf("%-10s %-8s %10.1f %7d %10.1f %8.3f%%  %s\n", P.Name,
+                  Variants[V].VariantName, R.BestOptSec * 1e6, R.Opt.Rounds,
+                  Arena / 1024.0, ReductionPct, Match ? "exact" : "DIFFERS");
       W.beginObject();
       W.field("bench", P.Name);
       W.field("variant", Variants[V].VariantName);
-      W.field("rounds_opt_us", RR.BestOptSec * 1e6, 2);
-      W.field("shrink_opt_us", SR.BestOptSec * 1e6, 2);
-      W.field("ratio", Ratio, 3);
-      W.field("semantic_identical", Identical);
-      W.field("rounds_instructions", RR.M.Instructions);
-      W.field("shrink_instructions", SR.M.Instructions);
+      W.field("opt_us", R.BestOptSec * 1e6, 2);
+      W.field("matches_baseline", Match);
+      W.field("base_instructions", BaseInstr);
+      W.field("instructions", R.M.Instructions);
       W.field("instr_reduction_pct", ReductionPct, 4);
-      W.field("barrier_stores", SR.M.BarrierStores);
-      W.field("rounds_arena_bytes", RR.ArenaBytes);
-      W.field("shrink_arena_bytes", SR.ArenaBytes);
-      W.field("shrink_phases", static_cast<uint64_t>(SR.Opt.WorklistPasses));
-      W.field("shrink_expand_phases",
-              static_cast<uint64_t>(SR.Opt.ExpandPasses));
-      W.field("rounds_rounds", static_cast<uint64_t>(RR.Opt.Rounds));
-      W.field("eta_funs", static_cast<uint64_t>(SR.Opt.EtaFuns));
+      W.field("barrier_stores", R.M.BarrierStores);
+      W.field("arena_bytes", Arena);
+      W.field("phases", static_cast<uint64_t>(R.Opt.Rounds));
+      W.field("expand_phases", static_cast<uint64_t>(R.Opt.ExpandPasses));
+      W.field("eta_funs", static_cast<uint64_t>(R.Opt.EtaFuns));
       W.field("wrap_cancel_chains",
-              static_cast<uint64_t>(SR.Opt.WrapCancelChains));
-      W.field("hoisted_allocs", static_cast<uint64_t>(SR.Opt.HoistedAllocs));
+              static_cast<uint64_t>(R.Opt.WrapCancelChains));
+      W.field("hoisted_allocs", static_cast<uint64_t>(R.Opt.HoistedAllocs));
       // Per-rule ablation: dynamic instructions that come back when each
       // fixpoint rule is disabled alone (0 delta = rule did not matter
       // for this row).
@@ -220,7 +202,7 @@ int main(int Argc, char **Argv) {
         uint64_t AblInstr =
             ablatedInstructions(P, Variants[V], kAblations[A].Bit);
         uint64_t Delta =
-            AblInstr > SR.M.Instructions ? AblInstr - SR.M.Instructions : 0;
+            AblInstr > R.M.Instructions ? AblInstr - R.M.Instructions : 0;
         RuleDeltaTotals[A] += Delta;
         W.field(kAblations[A].Name, Delta);
       }
@@ -230,18 +212,13 @@ int main(int Argc, char **Argv) {
   }
   W.endArray();
 
-  double Geomean = geomean(SpeedRatios);
   double GeoAll = InstrAll.empty() ? 1.0 : geomean(InstrAll);
   double GeoAffected = InstrAffected.empty() ? 1.0 : geomean(InstrAffected);
   double GeoMaterial = InstrMaterial.empty() ? 1.0 : geomean(InstrMaterial);
   auto Pct = [](double G) { return (1.0 - 1.0 / G) * 100.0; };
-  double ArenaRatio =
-      ShrinkArena > 0 ? static_cast<double>(RoundsArena) / ShrinkArena : 0;
-  std::printf("\ncps_opt totals:  rounds %.2f ms, shrink %.2f ms\n",
-              RoundsTotal * 1e3, ShrinkTotal * 1e3);
-  std::printf("arena churn:     rounds %.1f MiB, shrink %.1f MiB (%.1fx)\n",
-              RoundsArena / 1048576.0, ShrinkArena / 1048576.0, ArenaRatio);
-  std::printf("geomean speedup: %.2fx (gate: >= 1.5x)\n", Geomean);
+  std::printf("\ncps_opt total:   %.2f ms (best of %d per row)\n",
+              OptTotal * 1e3, Iters);
+  std::printf("arena churn:     %.1f MiB\n", ArenaTotal / 1048576.0);
   std::printf("instr reduction: %.3f%% full corpus, %.3f%% over %zu affected "
               "rows (gate: >= 1%%), %.3f%% over %zu materially affected rows "
               "(gate: >= 3%%)\n",
@@ -252,17 +229,12 @@ int main(int Argc, char **Argv) {
     std::printf(" %s +%llu", kAblations[A].Name,
                 (unsigned long long)RuleDeltaTotals[A]);
   std::printf(" instructions when disabled\n");
-  std::printf("semantic identity: %s;  per-row ratchet: %s;  convergence: "
-              "%s\n\n",
-              AllIdentical ? "ok" : "FAILED",
-              AnyRegressed ? "FAILED" : "ok", AnyCapped ? "FAILED" : "ok");
+  std::printf("baseline: %s;  per-row ratchet: %s;  convergence: %s\n\n",
+              AllMatch ? "exact" : "FAILED", AnyRegressed ? "FAILED" : "ok",
+              AnyCapped ? "FAILED" : "ok");
 
-  W.field("rounds_total_sec", RoundsTotal, 6);
-  W.field("shrink_total_sec", ShrinkTotal, 6);
-  W.field("rounds_arena_bytes_total", RoundsArena);
-  W.field("shrink_arena_bytes_total", ShrinkArena);
-  W.field("geomean_speedup", Geomean, 3);
-  W.field("gate_speedup", 1.5, 1);
+  W.field("opt_total_sec", OptTotal, 6);
+  W.field("arena_bytes_total", ArenaTotal);
   W.field("instr_reduction_pct_full", Pct(GeoAll), 4);
   W.field("instr_reduction_pct_affected", Pct(GeoAffected), 4);
   W.field("instr_reduction_pct_material", Pct(GeoMaterial), 4);
@@ -274,39 +246,24 @@ int main(int Argc, char **Argv) {
   for (size_t A = 0; A < std::size(kAblations); ++A)
     W.field(kAblations[A].Name, RuleDeltaTotals[A]);
   W.endObject();
-  W.field("all_identical", AllIdentical);
+  W.field("all_match_baseline", AllMatch);
   W.field("any_row_regressed", AnyRegressed);
   W.field("any_row_capped", AnyCapped);
   W.endObject();
 
-  std::FILE *Out = std::fopen(OutPath.c_str(), "w");
-  bool Wrote = false;
-  if (Out) {
-    std::fprintf(Out, "%s\n", W.str().c_str());
-    std::fclose(Out);
-    Wrote = true;
-    std::printf("wrote %s\n", OutPath.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", OutPath.c_str());
-  }
-
-  bool Ok = Wrote && AllOk && !SpeedRatios.empty();
-  if (!AllIdentical) {
-    std::fprintf(stderr, "FAIL: engines disagree on VM observables\n");
+  bool Ok = writeReport(OutPath, W.str()) && AllOk && !InstrAll.empty();
+  if (!AllMatch) {
+    std::fprintf(stderr, "FAIL: some row differs from the committed "
+                         "baseline (corpus/Baseline.cpp)\n");
     Ok = false;
   }
   if (AnyRegressed) {
-    std::fprintf(stderr,
-                 "FAIL: some row executes more instructions under fixpoint\n");
+    std::fprintf(stderr, "FAIL: some row executes more instructions than "
+                         "its base cadence\n");
     Ok = false;
   }
   if (AnyCapped) {
     std::fprintf(stderr, "FAIL: some row hit the phase safety ceiling\n");
-    Ok = false;
-  }
-  if (Geomean < 1.5) {
-    std::fprintf(stderr, "FAIL: geomean cps_opt speedup %.2fx < 1.5x\n",
-                 Geomean);
     Ok = false;
   }
   if (Pct(GeoAffected) < 1.0) {

@@ -10,22 +10,18 @@
 /// Also implements Kranz-style argument flattening for known functions
 /// (the sml.fag configuration).
 ///
-/// Two engines implement the same reductions (CompilerOptions::CpsOpt):
+/// One shrinking engine runs them: one up-front census over dense
+/// CVar-indexed tables, incrementally maintained as each contraction
+/// fires, with the tree mutated in place so unchanged subtrees are never
+/// re-cloned. Each phase plans the non-shrinking passes (inline-small,
+/// argument flattening) from phase-entry counts, then applies all
+/// reductions in one top-down sweep, until a phase fires nothing.
 ///
-///  - `rounds` (reference): up to 10 fixpoint rounds, each taking a fresh
-///    census and rebuilding the whole tree in the arena.
-///  - `shrink` (default): one up-front census over dense CVar-indexed
-///    tables, incrementally maintained as each contraction fires, with
-///    the tree mutated in place so unchanged subtrees are never
-///    re-cloned. Each phase plans the non-shrinking passes (inline-small,
-///    argument flattening) from phase-entry counts, then applies all
-///    reductions in one top-down sweep that mirrors the rounds cadence
-///    decision-for-decision, until a phase fires nothing.
-///
-/// The contract between them: the shrink engine's base cadence (with
-/// --cps-opt-disable=all) matches `rounds` on exact VM instruction
-/// counts; eta, wrapcancel and hoist are fixpoint extras that contract
-/// further on top of it and are on by default.
+/// The base cadence (--cps-opt-disable=all) is that loop alone; eta,
+/// wrapcancel and hoist are fixpoint extras that contract further on top
+/// of it and are on by default. The corpus baseline
+/// (corpus/Baseline.h) pins the default program of every corpus row and
+/// its instruction count under the base cadence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +41,7 @@ class Registry;
 }
 
 struct CpsOptStats {
-  int Rounds = 0; ///< census+rewrite rounds (rounds) / sweep phases (shrink)
+  int Rounds = 0; ///< phases run (plan, then one contraction sweep)
   size_t DeadRemoved = 0;
   size_t SelectsFolded = 0;
   size_t RecordsCopyEliminated = 0;
@@ -56,7 +52,7 @@ struct CpsOptStats {
   size_t InlinedSmall = 0;
   size_t EtaConts = 0;
   size_t KnownFnsFlattened = 0;
-  // Shrink-engine fixpoint extras (zero under --cps-opt-disable=all):
+  // Fixpoint extras (zero under --cps-opt-disable=all):
   size_t EtaFuns = 0;          ///< generalized eta of forwarding functions
   size_t WrapCancelChains = 0; ///< non-adjacent wrap dedup / unwrap CSE
   /// The subset of WrapCancelChains that cancelled a per-iteration
@@ -65,20 +61,17 @@ struct CpsOptStats {
   /// the dynamic-instruction wins; the bench gate keys on them.
   size_t WrapCancelLoopCarried = 0;
   size_t HoistedAllocs = 0;    ///< closed allocs hoisted out of known loops
-  size_t WorklistPasses = 0; ///< shrink engine: contraction sweeps run
-  size_t ExpandPasses = 0;   ///< shrink engine: inline/flatten phases run
+  size_t WorklistPasses = 0; ///< contraction sweeps run
+  size_t ExpandPasses = 0;   ///< inline/flatten phases run
   /// Arena payload bytes before/after the optimizer ran; the difference is
   /// the allocation churn this compile's optimization cost.
   size_t ArenaBytesBefore = 0;
   size_t ArenaBytesAfter = 0;
-  /// Shrink-engine audit mode (setCpsOptAudit): per-variable mismatches
+  /// Audit mode (setCpsOptAudit): per-variable mismatches
   /// between the incrementally maintained census and a recount.
   size_t CensusAuditFailures = 0;
-  /// Rounds engine only: it stopped at its 10-round cap while reductions
-  /// were still firing (previously a silent non-convergence).
-  bool HitRoundCap = false;
-  /// Shrink engine only: it was still contracting when it reached the
-  /// phase safety ceiling. The driver turns this into a compile
+  /// The optimizer was still contracting when it reached the phase
+  /// safety ceiling. The driver turns this into a compile
   /// error — contraction rules provably shrink, so this is a rule bug,
   /// not a program property.
   bool HitSafetyCeiling = false;
@@ -112,7 +105,6 @@ struct CpsOptTotals {
   std::atomic<uint64_t> WorklistPasses{0};
   std::atomic<uint64_t> ExpandPasses{0};
   std::atomic<uint64_t> ArenaBytes{0};
-  std::atomic<uint64_t> RoundCapHits{0};
   std::atomic<uint64_t> SafetyCeilingHits{0};
 };
 
@@ -121,7 +113,7 @@ CpsOptTotals &cpsOptTotals();
 /// Registers smltcc_cps_opt_* counters over cpsOptTotals() in \p R.
 void registerCpsOptMetrics(obs::Registry &R);
 
-/// Test hook: when enabled, the shrink engine recounts the census from
+/// Test hook: when enabled, the optimizer recounts the census from
 /// scratch after every sweep phase and records mismatches in
 /// CpsOptStats::CensusAuditFailures. Off by default (it is quadratic).
 void setCpsOptAudit(bool Enabled);

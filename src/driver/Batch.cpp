@@ -81,7 +81,6 @@ std::string smltc::compileMetricsJson(const CompileMetrics &M) {
       .field("arena_bytes",
              static_cast<uint64_t>(M.Opt.ArenaBytesAfter -
                                    M.Opt.ArenaBytesBefore))
-      .field("hit_round_cap", M.Opt.HitRoundCap)
       .endObject()
       .endObject();
   return W.take();

@@ -32,14 +32,16 @@ template <typename T> void appendPod(std::string &Key, T V) {
 /// Bump when canonicalJobKey gains, loses, or reorders a field — the
 /// salt is part of every key, so persisted entries written under the old
 /// layout can never alias entries under the new one.
-constexpr int kOptionsSchemaVersion = 7;
+constexpr int kOptionsSchemaVersion = 8;
 /// Bump on releases that change generated code for identical inputs, or
 /// the layout of the persisted CompileOutput blob (CompileMetrics is
 /// stored as a sized memcpy, so growing it invalidates old entries).
 /// 0.8.0: the shrink engine runs to fixpoint by default, so optimized
 /// programs differ from every 0.7.x build. 0.9.0: the bounded-phase mode
 /// and the census-driven fag rule are gone, which shrinks the persisted
-/// CompileMetrics (schema v7 drops the phase-budget key field).
+/// CompileMetrics (schema v7 drops the phase-budget key field). Schema v8
+/// drops the optimizer-engine and prelude-mode key fields (one optimizer,
+/// snapshot-only prelude) and CpsOptStats::HitRoundCap from the blob.
 constexpr const char *kCompilerVersion = "smltc-0.9.0";
 
 } // namespace
@@ -69,7 +71,6 @@ std::string smltc::canonicalJobKey(const std::string &Source,
   // struct is never memcpy'd wholesale, so padding bytes and the
   // VariantName pointer can't leak into the key.
   appendPod(Key, static_cast<uint8_t>(WithPrelude));
-  appendPod(Key, static_cast<uint8_t>(Opts.Prelude));
   // Prelude-sensitive keying without hashing the prelude text per job:
   // the snapshot's interface fingerprint covers the exported names, their
   // lowered LTY interfaces under every representation mode, and the
@@ -77,7 +78,6 @@ std::string smltc::canonicalJobKey(const std::string &Source,
   // generated code changes every WithPrelude key (schema v5).
   if (WithPrelude)
     appendPod(Key, PreludeSnapshot::cacheFingerprint());
-  appendPod(Key, static_cast<uint8_t>(Opts.CpsOpt));
   // The backend does not change the generated TM program, but it is a
   // declared compile option, and conflating entries across it would let
   // a cached CompileOutput mask a backend-selection bug; keep the keys

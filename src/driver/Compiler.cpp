@@ -119,22 +119,22 @@ CompileOutput Compiler::compileImpl(const std::string &Source,
   StringInterner Interner;
   DiagnosticEngine Diags;
 
-  // Prelude delivery: layer on the process-wide snapshot (default), or
-  // fall back to the legacy source-text concatenation when the caller
-  // asked for the inline oracle or the snapshot failed verification.
+  // The prelude reaches a job only through the process-wide snapshot:
+  // the job parses and elaborates its own source on top of it.
   const PreludeSnapshot *Snap = nullptr;
   const PreludeLayer *Layer = nullptr;
-  if (WithPrelude && Opts.Prelude == PreludeMode::Snapshot) {
+  if (WithPrelude) {
     auto TSnap = std::chrono::steady_clock::now();
     Snap = PreludeSnapshot::get();
     Out.Metrics.PreludeElabSec = secondsSince(TSnap);
-    if (Snap) {
-      Layer = &Snap->layer(Opts.Mtd);
-      Out.Metrics.PreludeSnapshotHit = true;
-      preludeStats().SnapshotHits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      preludeStats().InlineFallbacks.fetch_add(1, std::memory_order_relaxed);
+    if (!Snap) {
+      Out.Errors = "internal: prelude snapshot unavailable";
+      Out.Metrics.TotalSec = secondsSince(TStart);
+      return Out;
     }
+    Layer = &Snap->layer(Opts.Mtd);
+    Out.Metrics.PreludeSnapshotHit = true;
+    preludeStats().SnapshotHits.fetch_add(1, std::memory_order_relaxed);
   }
 
   std::optional<TypeContext> TypesOpt;
@@ -146,19 +146,11 @@ CompileOutput Compiler::compileImpl(const std::string &Source,
   }
   TypeContext &Types = *TypesOpt;
 
-  // Under the snapshot the job parses only its own source, so
-  // diagnostics carry user-relative line numbers; the inline oracle
-  // keeps the historical prelude-offset positions byte-for-byte.
-  std::string Full;
-  const std::string *ParseInput = &Source;
-  if (WithPrelude && !Layer) {
-    Full = PreludeSnapshot::sourceText() + Source;
-    ParseInput = &Full;
-  }
-
   // --- Front end: parse + elaborate (+ MTD) ---
+  // The job parses only its own source, so diagnostics carry
+  // user-relative line numbers.
   auto TFront = std::chrono::steady_clock::now();
-  Parser P(*ParseInput, A, Interner, Diags);
+  Parser P(Source, A, Interner, Diags);
   ast::Program Raw;
   {
     SMLTC_SPAN("parse", "compile");
@@ -185,11 +177,11 @@ CompileOutput Compiler::compileImpl(const std::string &Source,
     return Out;
   }
   if (Opts.Mtd) {
-    // Under the snapshot the user program is analyzed alone; the
-    // prelude's own MTD pass ran at snapshot construction (the split is
-    // exact: prelude top-levels are Exported/poisoned and prelude inner
-    // bindings only see prelude-internal evidence), so adding the stored
-    // stats reproduces the fused pass's numbers.
+    // The user program is analyzed alone; the prelude's own MTD pass
+    // ran at snapshot construction (the split is exact: prelude
+    // top-levels are Exported/poisoned and prelude inner bindings only
+    // see prelude-internal evidence), so adding the stored stats
+    // reproduces the fused pass's numbers.
     auto TMtd = std::chrono::steady_clock::now();
     SMLTC_SPAN("mtd", "compile");
     Out.Metrics.Mtd = runMtd(Prog, Types, A);
@@ -201,7 +193,7 @@ CompileOutput Compiler::compileImpl(const std::string &Source,
   }
   if (Layer) {
     // The job's typed program is the snapshot's declarations followed by
-    // its own — exactly the sequence the inline path elaborates.
+    // its own.
     std::vector<ADec *> All;
     All.reserve(Layer->Prog.Decs.size() + Prog.Decs.size());
     for (ADec *D : Layer->Prog.Decs)
@@ -295,8 +287,7 @@ CompileOutput Compiler::compileImpl(const std::string &Source,
     Out.Errors =
         "internal: CPS optimizer failed to converge within " +
         std::to_string(Out.Metrics.Opt.Rounds) +
-        " phases (safety ceiling); rerun with --cps-opt=rounds to use "
-        "the bounded reference engine and report this program";
+        " phases (safety ceiling); please report this program";
     Out.Metrics.BackSec = secondsSince(TBack);
     Out.Metrics.TotalSec = secondsSince(TStart);
     return Out;

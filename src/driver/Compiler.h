@@ -94,10 +94,9 @@ public:
   static const char *prelude();
 
   /// Compiles a MiniML source program under the given compiler variant.
-  /// When \p WithPrelude, the prelude is layered on (via the process-wide
-  /// pre-elaborated snapshot by default, or by prepending its source
-  /// text under `CompilerOptions::Prelude == PreludeMode::Inline`; the
-  /// two modes produce bit-identical programs).
+  /// When \p WithPrelude, the job is layered on the process-wide
+  /// pre-elaborated prelude snapshot; if the snapshot is unavailable the
+  /// compile fails with an internal error.
   static CompileOutput compile(const std::string &Source,
                                const CompilerOptions &Opts,
                                bool WithPrelude = true);

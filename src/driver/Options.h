@@ -15,27 +15,15 @@
 
 namespace smltc {
 
-/// Which CPS-optimizer engine drives contraction (Section 5.2).
-enum class CpsOptEngine : uint8_t {
-  Rounds, ///< legacy: up to 10 census + full-rebuild fixpoint rounds
-  Shrink, ///< worklist shrinking reductions with an incremental census
-};
-
 /// How compiled TM programs are executed (--backend=).
 enum class ExecBackend : uint8_t {
-  Vm,     ///< one of the three interpreter engines (--vm-dispatch=)
+  Vm,     ///< the interpreter (--vm-dispatch=threaded|switch)
   Native, ///< AOT TM -> C -> shared object (src/native/)
 };
 
-/// How the standard prelude reaches a compile job (--prelude=).
-enum class PreludeMode : uint8_t {
-  Snapshot, ///< layer on the process-wide pre-elaborated snapshot
-  Inline,   ///< legacy: prepend the prelude source text to the job
-};
-
-/// The shrink engine's fixpoint extras, individually ablatable
-/// (--cps-opt-disable=). The base cadence, with all of them disabled,
-/// matches the `rounds` engine on exact dynamic instructions; eta,
+/// The CPS optimizer's fixpoint extras, individually ablatable
+/// (--cps-opt-disable=). With all of them disabled the optimizer runs its
+/// base cadence, whose instruction counts the corpus baseline pins; eta,
 /// wrapcancel and hoist contract further on top of it by default.
 enum CpsOptRule : uint8_t {
   kCpsRuleEta = 1,        ///< eta reduction of forwarding functions/conts
@@ -47,21 +35,10 @@ enum CpsOptRule : uint8_t {
 struct CompilerOptions {
   const char *VariantName = "custom";
 
-  /// CPS optimizer engine; `shrink` is the default, `rounds` is kept as a
-  /// differential-testing escape hatch (--cps-opt=rounds).
-  CpsOptEngine CpsOpt = CpsOptEngine::Shrink;
-
   /// Execution backend. `vm` interprets; `native` AOT-compiles the TM
   /// program to C, loads the shared object, and runs it over the same
   /// heap and runtime services with bit-identical observable results.
   ExecBackend Backend = ExecBackend::Vm;
-
-  /// Prelude delivery. `snapshot` (default) elaborates the prelude once
-  /// per process and layers jobs on the immutable result; `inline` is
-  /// the legacy concatenation path, kept as a differential oracle — the
-  /// two produce bit-identical programs. Ignored when compiling without
-  /// a prelude.
-  PreludeMode Prelude = PreludeMode::Snapshot;
 
   /// Representation mode for the LTY lowering (Figure 6).
   ReprMode Repr = ReprMode::Standard;
@@ -99,8 +76,7 @@ struct CompilerOptions {
   int GpCalleeSaves = 3;
 
   /// Bitmask of CpsOptRule values disabled for ablation
-  /// (--cps-opt-disable=eta,wrapcancel,hoist). Ignored by the `rounds`
-  /// engine, which has none of these rules.
+  /// (--cps-opt-disable=eta,wrapcancel,hoist).
   uint8_t CpsOptDisable = 0;
 
   static CompilerOptions nrp() {

@@ -8,8 +8,7 @@
 /// immutable-base + mutable-overlay split, the job's Elaborator is seeded
 /// with the snapshot's counters and builtin-exception handles, and the
 /// final typed program is the snapshot's declarations concatenated with
-/// the job's — bit-identical to the legacy path that prepends the prelude
-/// source text (`--prelude=inline`, kept as a differential oracle).
+/// the job's.
 ///
 /// Two independently elaborated layers are kept, because minimum typing
 /// derivations (elab/Mtd.cpp) rewrite type schemes in place: a plain
@@ -26,8 +25,9 @@
 /// never writes to snapshot nodes, and verifies that no un-generalized
 /// unbound type variable is reachable (job-side unification can only
 /// mutate unbound vars, and `bindVar` rejects generalized ones). If
-/// verification fails, `get()` returns null and callers fall back to the
-/// inline path — a robustness valve, not an expected outcome.
+/// verification fails, `get()` returns null and compiles that need the
+/// prelude fail with an internal error — a robustness valve, not an
+/// expected outcome.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +61,6 @@ struct PreludeLayer {
 struct PreludeStats {
   std::atomic<uint64_t> SnapshotHits{0};   ///< compiles served by the snapshot
   std::atomic<uint64_t> SnapshotBuilds{0}; ///< constructions (0 or 1)
-  std::atomic<uint64_t> InlineFallbacks{0}; ///< snapshot unavailable
 };
 PreludeStats &preludeStats();
 
@@ -70,7 +69,7 @@ public:
   /// The process-wide snapshot, built on first use (thread-safe; batch
   /// workers and the compile server share the one instance lock-free).
   /// Returns null when construction failed its safety verification;
-  /// callers must then fall back to `--prelude=inline` behavior.
+  /// callers must then refuse to compile with the prelude.
   static const PreludeSnapshot *get();
 
   /// The layer matching the job's MTD setting.

@@ -551,7 +551,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln(fmt("return %d;", I.Imm));
     return true;
   case DOp::CallR:
-    // Legacy charges the call cost before the tag check: no refund.
+    // A bad indirect call is charged in full before it traps: no refund.
     Charge();
     ln("{ uint64_t c = " + Rs1 + ";");
     ln("  if (!(c & 1ULL)) {");

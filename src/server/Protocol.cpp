@@ -303,12 +303,11 @@ namespace {
 /// Number of serialized option fields below; bumped together with the
 /// cache options-schema version so an old client cannot silently send a
 /// truncated option set.
-constexpr uint8_t kNumOptionFields = 18;
+constexpr uint8_t kNumOptionFields = 16;
 
 void encodeOptions(WireWriter &W, const CompilerOptions &O) {
   W.u8(kNumOptionFields);
   W.str(O.VariantName ? std::string(O.VariantName) : std::string());
-  W.u8(static_cast<uint8_t>(O.CpsOpt));
   W.u8(static_cast<uint8_t>(O.Repr));
   W.u8(O.Mtd);
   W.u8(O.KnownFnFlattening);
@@ -323,7 +322,6 @@ void encodeOptions(WireWriter &W, const CompilerOptions &O) {
   W.u8(O.KeepDumps);
   W.i32(O.MaxSpreadArgs);
   W.i32(O.GpCalleeSaves);
-  W.u8(static_cast<uint8_t>(O.Prelude));
   W.u8(O.CpsOptDisable);
 }
 
@@ -335,7 +333,6 @@ bool decodeOptions(WireReader &R, CompilerOptions &O, std::string &Err) {
     return false;
   }
   std::string Variant = R.str(64);
-  uint8_t Engine = R.u8();
   uint8_t Repr = R.u8();
   O.Mtd = R.u8() != 0;
   O.KnownFnFlattening = R.u8() != 0;
@@ -350,7 +347,6 @@ bool decodeOptions(WireReader &R, CompilerOptions &O, std::string &Err) {
   O.KeepDumps = R.u8() != 0;
   O.MaxSpreadArgs = R.i32();
   O.GpCalleeSaves = R.i32();
-  uint8_t Prelude = R.u8();
   uint8_t Disable = R.u8();
   if (R.failed()) {
     Err = "truncated options";
@@ -364,21 +360,22 @@ bool decodeOptions(WireReader &R, CompilerOptions &O, std::string &Err) {
     return false;
   }
   O.CpsOptDisable = Disable;
-  if (Prelude > static_cast<uint8_t>(PreludeMode::Inline)) {
-    Err = "prelude mode out of range";
+  // Closure conversion needs at least one general-purpose callee-save
+  // register and a non-negative float count; anything else crashes the
+  // compiling process, so reject it at the wire.
+  if (O.GpCalleeSaves < 1) {
+    Err = "gp callee-saves out of range";
     return false;
   }
-  O.Prelude = static_cast<PreludeMode>(Prelude);
+  if (O.FloatCalleeSaves < 0) {
+    Err = "float callee-saves out of range";
+    return false;
+  }
   if (Repr > static_cast<uint8_t>(ReprMode::FullFloat)) {
     Err = "representation mode out of range";
     return false;
   }
   O.Repr = static_cast<ReprMode>(Repr);
-  if (Engine > static_cast<uint8_t>(CpsOptEngine::Shrink)) {
-    Err = "cps-opt engine out of range";
-    return false;
-  }
-  O.CpsOpt = static_cast<CpsOptEngine>(Engine);
   // VariantName is a non-owning const char*: point it at the matching
   // static variant name, or a generic label for custom option sets.
   O.VariantName = "remote";

@@ -314,12 +314,6 @@ void CompileServer::registerMetrics() {
         return preludeStats().SnapshotBuilds.load(std::memory_order_relaxed);
       },
       "Prelude snapshot constructions (0 or 1 per process)");
-  Reg.counterFn(
-      "smltcc_prelude_inline_fallbacks_total",
-      [] {
-        return preludeStats().InlineFallbacks.load(std::memory_order_relaxed);
-      },
-      "Compiles that fell back to inline prelude concatenation");
   Reg.gaugeFn(
       "smltcc_prelude_snapshot_build_seconds",
       [] {

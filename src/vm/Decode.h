@@ -5,8 +5,8 @@
 /// execution loops can dispatch on without per-step checks:
 ///
 ///  - the static part of the cost model (base cycles + the spilled-register
-///    surcharges of regCost/fregCost, which depend only on register
-///    numbers) is fused into a per-instruction `Cost` constant;
+///    surcharges, which depend only on register numbers) is fused into a
+///    per-instruction `Cost` constant;
 ///  - immediates are pre-resolved (MovI/LoadLabel store the already-tagged
 ///    word; LoadF's unaligned-float surcharge is baked in);
 ///  - every branch target is validated once: out-of-range targets are
@@ -15,9 +15,9 @@
 ///  - statically invalid instructions (float unsigned compare, bad
 ///    string-pool index) decode to an explicit Trap instruction.
 ///
-/// Cycle counts feed Figure 7, so decoding must not change them: the
-/// fused costs reproduce the legacy interpreter's charges bit for bit
-/// (asserted across the corpus by tests/test_vm_engine.cpp).
+/// Cycle counts feed Figure 7: the fused costs plus the loops' dynamic
+/// charges must reproduce the committed corpus baseline exactly
+/// (asserted on both engines by tests/test_baseline.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,8 +87,8 @@ struct DecodedFunction {
   /// 1 + the largest word register the function mentions (and at least
   /// 1 + NumWordParams): the register-file watermark. On entry only
   /// registers below it need clearing, and the GC only scans that
-  /// prefix — everything above would be a tagged zero in the legacy
-  /// interpreter, so the live root set is identical.
+  /// prefix — the function never reads the registers above, so they
+  /// hold no live roots.
   int NumRegsUsed = 1;
 };
 

@@ -9,15 +9,12 @@
 /// variants trade against each other (boxing, memory traffic, allocation,
 /// GC) are modeled directly.
 ///
-/// Three dispatch engines execute the same cost model bit for bit:
+/// Two dispatch engines execute the same cost model bit for bit:
 ///   threaded — pre-decoded code, computed-goto dispatch (GCC/Clang);
-///   switch   — pre-decoded code, portable switch dispatch;
-///   legacy   — the original step()-per-instruction interpreter over raw
-///              TmFunctions, kept as the differential oracle and the
-///              baseline bench/exec_throughput measures speedups against.
+///   switch   — pre-decoded code, portable switch dispatch.
 /// Determinism is an acceptance gate, not a nice-to-have: the cycle
-/// counters feed Figure 7, so every mode must produce identical results
-/// and identical counters.
+/// counters feed Figure 7, so both engines (and the native backend) must
+/// reproduce the committed corpus baseline (corpus/Baseline.h) exactly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +33,6 @@ namespace smltc {
 enum class VmDispatch : uint8_t {
   Threaded, ///< computed goto where available, else switch
   Switch,   ///< portable pre-decoded switch loop
-  Legacy,   ///< original undecoded interpreter (seed baseline)
 };
 
 struct VmOptions {

@@ -4,7 +4,6 @@
 #include "cps/Cps.h"
 #include "cps/CpsCheck.h"
 #include "cps/CpsOpt.h"
-#include "driver/CompileCache.h"
 #include "driver/Compiler.h"
 #include "driver/Options.h"
 #include "support/Arena.h"
@@ -18,16 +17,14 @@ using namespace smltc;
 
 namespace {
 
-/// Every structural optimizer test runs under both engines: the legacy
-/// census+rebuild `rounds` engine and the worklist `shrink` engine. The
-/// two must agree on every contraction these tests observe.
-struct CpsOptFixture : ::testing::TestWithParam<CpsOptEngine> {
+/// Structural optimizer tests: one hand-built CPS term each, optimized
+/// under a variant's options and checked for the contraction it must see.
+struct CpsOptFixture : ::testing::Test {
   Arena A;
   CpsBuilder B{A};
   CpsOptStats Stats;
 
   Cexp *optimize(Cexp *E, CompilerOptions O = CompilerOptions::ffb()) {
-    O.CpsOpt = GetParam();
     CVar MaxVar = B.maxVar();
     Cexp *R = optimizeCps(A, O, E, MaxVar, Stats);
     EXPECT_TRUE(checkCps(R).Ok);
@@ -37,7 +34,7 @@ struct CpsOptFixture : ::testing::TestWithParam<CpsOptEngine> {
 
 } // namespace
 
-TEST_P(CpsOptFixture, ConstantFoldsArithmetic) {
+TEST_F(CpsOptFixture, ConstantFoldsArithmetic) {
   CVar W = B.fresh();
   Cexp *P = B.arith(CpsOp::IAdd, {CValue::intC(2), CValue::intC(3)}, W,
                     Cty::intTy(), B.halt(CValue::var(W)));
@@ -48,7 +45,7 @@ TEST_P(CpsOptFixture, ConstantFoldsArithmetic) {
   EXPECT_GE(Stats.ConstantsFolded, 1u);
 }
 
-TEST_P(CpsOptFixture, DoesNotFoldDivisionByZero) {
+TEST_F(CpsOptFixture, DoesNotFoldDivisionByZero) {
   CVar W = B.fresh();
   Cexp *P = B.arith(CpsOp::IDiv, {CValue::intC(1), CValue::intC(0)}, W,
                     Cty::intTy(), B.halt(CValue::var(W)));
@@ -56,7 +53,7 @@ TEST_P(CpsOptFixture, DoesNotFoldDivisionByZero) {
   EXPECT_EQ(R->K, Cexp::Kind::Arith); // must trap at runtime, not fold
 }
 
-TEST_P(CpsOptFixture, RemovesDeadRecords) {
+TEST_F(CpsOptFixture, RemovesDeadRecords) {
   CVar W = B.fresh();
   Cexp *P = B.record(RecordKind::Std,
                      {{CValue::intC(1), false}, {CValue::intC(2), false}},
@@ -66,7 +63,7 @@ TEST_P(CpsOptFixture, RemovesDeadRecords) {
   EXPECT_GE(Stats.DeadRemoved, 1u);
 }
 
-TEST_P(CpsOptFixture, KeepsDeadRefCells) {
+TEST_F(CpsOptFixture, KeepsDeadRefCells) {
   // A ref allocation is observable through aliasing; never removed.
   CVar W = B.fresh();
   Cexp *P = B.record(RecordKind::Ref, {{CValue::intC(1), false}}, W,
@@ -75,7 +72,7 @@ TEST_P(CpsOptFixture, KeepsDeadRefCells) {
   EXPECT_EQ(R->K, Cexp::Kind::Record);
 }
 
-TEST_P(CpsOptFixture, FoldsSelectFromKnownRecord) {
+TEST_F(CpsOptFixture, FoldsSelectFromKnownRecord) {
   CVar W = B.fresh(), S = B.fresh();
   Cexp *P = B.record(
       RecordKind::Std,
@@ -88,7 +85,7 @@ TEST_P(CpsOptFixture, FoldsSelectFromKnownRecord) {
   EXPECT_GE(Stats.SelectsFolded, 1u);
 }
 
-TEST_P(CpsOptFixture, FoldsBranchesOnConstants) {
+TEST_F(CpsOptFixture, FoldsBranchesOnConstants) {
   Cexp *P = B.branch(BranchOp::Ilt, {CValue::intC(1), CValue::intC(2)},
                      B.halt(CValue::intC(111)), B.halt(CValue::intC(222)));
   Cexp *R = optimize(P);
@@ -96,7 +93,7 @@ TEST_P(CpsOptFixture, FoldsBranchesOnConstants) {
   EXPECT_EQ(R->F.I, 111);
 }
 
-TEST_P(CpsOptFixture, IsBoxedFoldsOnIntConstant) {
+TEST_F(CpsOptFixture, IsBoxedFoldsOnIntConstant) {
   Cexp *P = B.branch(BranchOp::IsBoxed, {CValue::intC(7)},
                      B.halt(CValue::intC(1)), B.halt(CValue::intC(0)));
   Cexp *R = optimize(P);
@@ -104,7 +101,7 @@ TEST_P(CpsOptFixture, IsBoxedFoldsOnIntConstant) {
   EXPECT_EQ(R->F.I, 0); // tagged ints are not boxed
 }
 
-TEST_P(CpsOptFixture, CancelsFloatReboxing) {
+TEST_F(CpsOptFixture, CancelsFloatReboxing) {
   // y = unbox(x); z = box(y)  ==>  z := x  (when x is a known box).
   CVar Box = B.fresh(), Raw = B.fresh(), Rebox = B.fresh();
   Cexp *P = B.record(
@@ -121,7 +118,7 @@ TEST_P(CpsOptFixture, CancelsFloatReboxing) {
   EXPECT_GE(Stats.FloatBoxesReused + Stats.SelectsFolded, 1u);
 }
 
-TEST_P(CpsOptFixture, OldCompilerKeepsFloatBoxes) {
+TEST_F(CpsOptFixture, OldCompilerKeepsFloatBoxes) {
   // With CpsWrapCancel off (sml.nrp), the same program keeps both the
   // select and the re-box.
   CVar Box = B.fresh(), Raw = B.fresh(), Rebox = B.fresh();
@@ -138,7 +135,7 @@ TEST_P(CpsOptFixture, OldCompilerKeepsFloatBoxes) {
   EXPECT_EQ(R->C1->C1->K, Cexp::Kind::Record);
 }
 
-TEST_P(CpsOptFixture, RecordCopyElimination) {
+TEST_F(CpsOptFixture, RecordCopyElimination) {
   // Inside a function whose parameter is a known-length record, building
   // a record from its in-order selects is the identity (Section 5.2).
   CVar F = B.fresh(), P1 = B.fresh(), K = B.fresh();
@@ -162,7 +159,7 @@ TEST_P(CpsOptFixture, RecordCopyElimination) {
   EXPECT_GE(Stats.RecordsCopyEliminated, 1u);
 }
 
-TEST_P(CpsOptFixture, EtaReducesForwardingConts) {
+TEST_F(CpsOptFixture, EtaReducesForwardingConts) {
   // cont k(x) = j(x) ==> uses of k become j.
   CVar J = B.fresh(), JX = B.fresh();
   CVar K = B.fresh(), KX = B.fresh();
@@ -178,7 +175,7 @@ TEST_P(CpsOptFixture, EtaReducesForwardingConts) {
   EXPECT_EQ(R->F.I, 9);
 }
 
-TEST_P(CpsOptFixture, InlinesSingleUseFunctions) {
+TEST_F(CpsOptFixture, InlinesSingleUseFunctions) {
   CVar F = B.fresh(), X = B.fresh(), K = B.fresh();
   CVar W = B.fresh(), RK = B.fresh(), RX = B.fresh();
   CFun *Fn =
@@ -196,7 +193,7 @@ TEST_P(CpsOptFixture, InlinesSingleUseFunctions) {
   EXPECT_GE(Stats.InlinedOnce + Stats.InlinedSmall, 1u);
 }
 
-TEST_P(CpsOptFixture, DropsDeadFunctions) {
+TEST_F(CpsOptFixture, DropsDeadFunctions) {
   CVar F = B.fresh(), X = B.fresh(), K = B.fresh();
   CFun *Fn = B.fun(CFun::Kind::Escape, F, {X, K},
                    {Cty::intTy(), Cty::cntTy()},
@@ -207,7 +204,7 @@ TEST_P(CpsOptFixture, DropsDeadFunctions) {
   EXPECT_GE(Stats.DeadRemoved, 1u);
 }
 
-TEST_P(CpsOptFixture, FlattensKnownFunctionArguments) {
+TEST_F(CpsOptFixture, FlattensKnownFunctionArguments) {
   // A known function taking a 2-record that it only selects from gets its
   // components spread (sml.fag's Kranz optimization).
   CVar F = B.fresh(), P1 = B.fresh(), K = B.fresh();
@@ -246,7 +243,7 @@ TEST_P(CpsOptFixture, FlattensKnownFunctionArguments) {
   EXPECT_GE(Stats.KnownFnsFlattened, 1u);
 }
 
-TEST_P(CpsOptFixture, PreservesSideEffectOrder) {
+TEST_F(CpsOptFixture, PreservesSideEffectOrder) {
   // Setter / CCall nodes are never removed or reordered.
   CVar W = B.fresh(), Cell = B.fresh();
   Cexp *P = B.record(
@@ -262,20 +259,12 @@ TEST_P(CpsOptFixture, PreservesSideEffectOrder) {
   ASSERT_EQ(R->C1->C1->K, Cexp::Kind::Looker);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, CpsOptFixture,
-    ::testing::Values(CpsOptEngine::Rounds, CpsOptEngine::Shrink),
-    [](const ::testing::TestParamInfo<CpsOptEngine> &I) {
-      return I.param == CpsOptEngine::Rounds ? std::string("Rounds")
-                                             : std::string("Shrink");
-    });
-
 namespace {
 
 /// A Depth-deep chain of dead records: each layer only becomes dead once
 /// the layer above it is removed, and a binding already visited (and
-/// kept) this pass is never revisited, so the engines peel exactly one
-/// layer per round/phase.
+/// kept) this pass is never revisited, so the optimizer peels exactly one
+/// layer per phase.
 Cexp *deadRecordChain(CpsBuilder &B, int Depth) {
   std::vector<CVar> Vs;
   for (int I = 0; I < Depth; ++I)
@@ -290,155 +279,25 @@ Cexp *deadRecordChain(CpsBuilder &B, int Depth) {
 
 } // namespace
 
-TEST(CpsOptRounds, RoundCapFlagOnDeepDeadChainWhenCapped) {
-  // The rounds engine stops after 10 rounds: a chain deeper than that
-  // must leave work behind and say so via HitRoundCap.
-  Arena A;
-  CpsBuilder B{A};
-  CpsOptStats Stats;
-  CompilerOptions O = CompilerOptions::ffb();
-  O.CpsOpt = CpsOptEngine::Rounds;
-  Cexp *P = deadRecordChain(B, 12);
-  CVar MaxVar = B.maxVar();
-  Cexp *R = optimizeCps(A, O, P, MaxVar, Stats);
-  ASSERT_TRUE(checkCps(R).Ok);
-  EXPECT_TRUE(Stats.HitRoundCap);
-  EXPECT_NE(R->K, Cexp::Kind::Halt); // dead layers were left behind
-}
-
 TEST(CpsOptFixpoint, FixpointDrainsDeepDeadChain) {
-  // The shrink engine keeps peeling until the chain is gone, far below
-  // the safety ceiling.
+  // The optimizer keeps peeling until the chain is gone, far below the
+  // safety ceiling.
   Arena A;
   CpsBuilder B{A};
   CpsOptStats Stats;
   CompilerOptions O = CompilerOptions::ffb();
-  O.CpsOpt = CpsOptEngine::Shrink;
   CVar MaxVar;
   Cexp *P = deadRecordChain(B, 40);
   MaxVar = B.maxVar();
   Cexp *R = optimizeCps(A, O, P, MaxVar, Stats);
   ASSERT_TRUE(checkCps(R).Ok);
   EXPECT_EQ(R->K, Cexp::Kind::Halt);
-  EXPECT_FALSE(Stats.HitRoundCap);
   EXPECT_FALSE(Stats.HitSafetyCeiling);
   EXPECT_GE(Stats.Rounds, 40);
 }
 
-namespace {
-
-/// Restores the census-audit flag even when an assertion bails out of a
-/// test early.
-struct AuditGuard {
-  AuditGuard() { setCpsOptAudit(true); }
-  ~AuditGuard() { setCpsOptAudit(false); }
-};
-
-} // namespace
-
-// The differential harness: both engines, over the full 12-program x
-// 6-variant matrix, must produce programs with identical VM observables
-// (result, output, exception/trap state, store-barrier counts). Because
-// the fixpoint extras legitimately change the program, the oracle is
-// semantic identity plus a ratchet — the default shrink engine may only
-// ever execute fewer dynamic instructions than the rounds engine, never
-// more. (checkCps runs inside Compiler::compile on every
-// optimized program.)
-TEST(CpsOptDifferential, EnginesAgreeOnCorpusMatrix) {
-  size_t NumVariants = 0;
-  const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
-  ASSERT_GT(NumVariants, 0u);
-  for (const BenchmarkProgram &P : benchmarkCorpus()) {
-    for (size_t I = 0; I < NumVariants; ++I) {
-      SCOPED_TRACE(std::string(P.Name) + " / " + Variants[I].VariantName);
-      CompilerOptions RoundsOpts = Variants[I];
-      RoundsOpts.CpsOpt = CpsOptEngine::Rounds;
-      CompilerOptions ShrinkOpts = Variants[I];
-      ShrinkOpts.CpsOpt = CpsOptEngine::Shrink;
-      ExecResult RR = Compiler::compileAndRun(P.Source, RoundsOpts);
-      ExecResult SR = Compiler::compileAndRun(P.Source, ShrinkOpts);
-      ASSERT_TRUE(RR.Ok);
-      ASSERT_TRUE(SR.Ok);
-      EXPECT_FALSE(RR.Trapped);
-      EXPECT_FALSE(SR.Trapped);
-      EXPECT_FALSE(RR.UncaughtException);
-      EXPECT_FALSE(SR.UncaughtException);
-      EXPECT_EQ(RR.Result, P.ExpectedResult);
-      EXPECT_EQ(SR.Result, RR.Result);
-      EXPECT_EQ(SR.Output, RR.Output);
-      EXPECT_EQ(SR.Metrics.BarrierStores, RR.Metrics.BarrierStores);
-      EXPECT_LE(SR.Instructions, RR.Instructions);
-    }
-  }
-}
-
-// The base cadence is the rounds engine's: with every fixpoint extra
-// disabled, the shrink engine (running to fixpoint) must execute exactly
-// as many dynamic instructions as `rounds` on the whole matrix — also on
-// the rows where `rounds` stops at its 10-round cap. (Byte identity does
-// not hold: the engines number fresh variables differently on sml.fag
-// rows, and on Ray ffb/fp3 the shrink engine runs two phases past that
-// cap.)
-TEST(CpsOptDifferential, BaseCadenceMatchesRoundsOracle) {
-  size_t NumVariants = 0;
-  const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
-  size_t Rows = 0;
-  for (const BenchmarkProgram &P : benchmarkCorpus()) {
-    for (size_t I = 0; I < NumVariants; ++I) {
-      SCOPED_TRACE(std::string(P.Name) + " / " + Variants[I].VariantName);
-      CompilerOptions RoundsOpts = Variants[I];
-      RoundsOpts.CpsOpt = CpsOptEngine::Rounds;
-      CompilerOptions BaseOpts = Variants[I];
-      BaseOpts.CpsOpt = CpsOptEngine::Shrink;
-      BaseOpts.CpsOptDisable = kCpsRuleAll;
-      CompileOutput CO = Compiler::compile(P.Source, BaseOpts);
-      ASSERT_TRUE(CO.Ok) << CO.Errors;
-      EXPECT_EQ(CO.Metrics.Opt.EtaFuns, 0u);
-      EXPECT_EQ(CO.Metrics.Opt.WrapCancelChains, 0u);
-      EXPECT_EQ(CO.Metrics.Opt.WrapCancelLoopCarried, 0u);
-      EXPECT_EQ(CO.Metrics.Opt.HoistedAllocs, 0u);
-      EXPECT_FALSE(CO.Metrics.Opt.HitSafetyCeiling);
-      VmOptions VO;
-      VO.UnalignedFloats = BaseOpts.UnalignedFloats;
-      ExecResult SR = execute(CO.Program, VO);
-      ExecResult RR = Compiler::compileAndRun(P.Source, RoundsOpts);
-      ASSERT_TRUE(RR.Ok);
-      ASSERT_TRUE(SR.Ok);
-      EXPECT_EQ(RR.Result, P.ExpectedResult);
-      EXPECT_EQ(SR.Result, RR.Result);
-      EXPECT_EQ(SR.Output, RR.Output);
-      EXPECT_EQ(SR.Metrics.BarrierStores, RR.Metrics.BarrierStores);
-      EXPECT_EQ(SR.Instructions, RR.Instructions);
-      ++Rows;
-    }
-  }
-  EXPECT_EQ(Rows, 72u);
-}
-
-// No corpus job may come anywhere near the shrink engine's safety
-// ceiling.
-TEST(CpsOptDifferential, NoCorpusRowHitsSafetyCeiling) {
-  size_t NumVariants = 0;
-  const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
-  for (const BenchmarkProgram &P : benchmarkCorpus()) {
-    for (size_t I = 0; I < NumVariants; ++I) {
-      SCOPED_TRACE(std::string(P.Name) + " / " + Variants[I].VariantName);
-      CompilerOptions O = Variants[I];
-      O.CpsOpt = CpsOptEngine::Shrink;
-      CompileOutput Out = Compiler::compile(P.Source, O);
-      ASSERT_TRUE(Out.Ok) << Out.Errors;
-      EXPECT_FALSE(Out.Metrics.Opt.HitSafetyCeiling);
-    }
-  }
-}
-
-// With auditing on, the shrink engine recounts uses/calls from scratch
-// after every worklist drain and compares against the incrementally
-// maintained tables. Any divergence is a bug in a contraction's count
-// bookkeeping.
 //===----------------------------------------------------------------------===//
-// Fixpoint-extra rule unit tests. These rules exist only in the shrink
-// engine, so they are not parameterized over engines.
+// Fixpoint-extra rule unit tests.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -449,7 +308,6 @@ struct FixpointFixture : ::testing::Test {
   CpsOptStats Stats;
 
   Cexp *optimize(Cexp *E, CompilerOptions O = CompilerOptions::ffb()) {
-    O.CpsOpt = CpsOptEngine::Shrink;
     CVar MaxVar = B.maxVar();
     Cexp *R = optimizeCps(A, O, E, MaxVar, Stats);
     EXPECT_TRUE(checkCps(R).Ok);
@@ -619,7 +477,22 @@ TEST_F(FixpointFixture, HoistRefusesPastEffectfulAlloc) {
   EXPECT_EQ(Stats.HoistedAllocs, 0u);
 }
 
-TEST(CpsOptDifferential, IncrementalCensusMatchesFullRecount) {
+namespace {
+
+/// Restores the census-audit flag even when an assertion bails out of a
+/// test early.
+struct AuditGuard {
+  AuditGuard() { setCpsOptAudit(true); }
+  ~AuditGuard() { setCpsOptAudit(false); }
+};
+
+} // namespace
+
+// With auditing on, the optimizer recounts uses/calls from scratch
+// after every worklist drain and compares against the incrementally
+// maintained tables. Any divergence is a bug in a contraction's count
+// bookkeeping.
+TEST(CpsOptFixpoint, IncrementalCensusMatchesFullRecount) {
   AuditGuard Guard;
   for (const char *Variant : {"sml.ffb", "sml.fag", "sml.nrp"}) {
     size_t NumVariants = 0;
@@ -631,9 +504,7 @@ TEST(CpsOptDifferential, IncrementalCensusMatchesFullRecount) {
     ASSERT_NE(Opts, nullptr);
     for (const BenchmarkProgram &P : benchmarkCorpus()) {
       SCOPED_TRACE(std::string(P.Name) + " / " + Variant);
-      CompilerOptions O = *Opts;
-      O.CpsOpt = CpsOptEngine::Shrink;
-      CompileOutput Out = Compiler::compile(P.Source, O);
+      CompileOutput Out = Compiler::compile(P.Source, *Opts);
       ASSERT_TRUE(Out.Ok) << Out.Errors;
       EXPECT_EQ(Out.Metrics.Opt.CensusAuditFailures, 0u);
     }

@@ -3,10 +3,12 @@
 // The native backend is held to the same bar as the interpreter engines:
 // bit-identical observable state — result, output, exception flag,
 // retired instructions, cycles, allocation statistics, GC copy counts —
-// across the whole 12x6 corpus, with all three interpreter engines as
-// the oracle. Programs containing decoder trap paths (fall-off-the-end
-// pads, statically invalid instructions) are refused at native build
-// time and must keep trapping identically through every interpreter.
+// across the whole 12x6 corpus, with threaded dispatch as the oracle
+// (the sml.ffb column is also checked against the committed corpus
+// baseline, tests/test_baseline.cpp). Programs containing decoder trap
+// paths (fall-off-the-end pads, statically invalid instructions) are
+// refused at native build time and must keep trapping identically
+// through both interpreters.
 //
 // Every native test skips when no C compiler is reachable (the backend
 // is an optional capability, probed once per process).
@@ -96,27 +98,6 @@ TEST(NativeBackend, BitIdenticalAcrossCorpusAndVariants) {
   }
 }
 
-TEST(NativeBackend, MatchesAllThreeEnginesOnFfb) {
-  // The threaded/switch/legacy trio is already asserted identical across
-  // the corpus (test_vm_engine); here the native run is compared against
-  // each engine independently so the oracle does not rest on that chain.
-  SKIP_WITHOUT_CC();
-  for (const BenchmarkProgram &B : benchmarkCorpus()) {
-    CompileOutput C = Compiler::compile(B.Source, CompilerOptions::ffb());
-    ASSERT_TRUE(C.Ok) << B.Name;
-    ExecResult N;
-    std::string Err;
-    ASSERT_TRUE(runNative(C.Program, 256, true, N, Err))
-        << B.Name << ": " << Err;
-    for (VmDispatch D :
-         {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
-      ExecResult R = runWith(C.Program, D, 256, true);
-      expectIdentical(R, N, std::string(B.Name) + " engine " +
-                                std::to_string(static_cast<int>(D)));
-    }
-  }
-}
-
 TEST(NativeBackend, TinyNurseryForcesShadowStackScans) {
   // An 8 KiB nursery forces many minor collections whose only roots for
   // native word registers are the shadow frames; any scan or forwarding
@@ -178,8 +159,7 @@ TEST(NativeBackend, TrapEndIdenticalAcrossInterpretersRefusedNatively) {
   TmProgram P = fallOffEndProgram();
   ExecResult First;
   bool Have = false;
-  for (VmDispatch D :
-       {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
+  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Threaded}) {
     ExecResult R = runWith(P, D, 0, true);
     ASSERT_TRUE(R.Trapped);
     EXPECT_EQ(R.TrapMessage, "fell off the end of a function");
@@ -202,8 +182,7 @@ TEST(NativeBackend, TrapInvalidIdenticalAcrossInterpretersRefusedNatively) {
   TmProgram P = floatUnsignedCompareProgram();
   ExecResult First;
   bool Have = false;
-  for (VmDispatch D :
-       {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
+  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Threaded}) {
     ExecResult R = runWith(P, D, 0, true);
     ASSERT_TRUE(R.Trapped);
     EXPECT_NE(R.TrapMessage.find("unsigned"), std::string::npos)
@@ -263,8 +242,8 @@ TEST(NativeBackend, EmitterAcceptsMinimalHaltProgram) {
   ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
   EXPECT_TRUE(N.Ok) << N.TrapMessage;
   EXPECT_EQ(N.Result, 21);
-  ExecResult L = runWith(P, VmDispatch::Legacy, 0, true);
-  expectIdentical(L, N, "minimal halt");
+  ExecResult T = runWith(P, VmDispatch::Threaded, 0, true);
+  expectIdentical(T, N, "minimal halt");
 }
 
 TEST(NativeBackend, RegisterValidationTrapsBeforeCompile) {
@@ -284,9 +263,9 @@ TEST(NativeBackend, RegisterValidationTrapsBeforeCompile) {
   ExecResult N;
   std::string Err;
   ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
-  ExecResult L = runWith(P, VmDispatch::Legacy, 0, true);
+  ExecResult T = runWith(P, VmDispatch::Threaded, 0, true);
   ASSERT_TRUE(N.Trapped);
-  EXPECT_EQ(N.TrapMessage, L.TrapMessage);
+  EXPECT_EQ(N.TrapMessage, T.TrapMessage);
   EXPECT_EQ(N.Instructions, 0u);
 }
 

@@ -8,13 +8,6 @@ using namespace smltc;
 
 namespace {
 
-int64_t runWith(const std::string &Src, const CompilerOptions &O) {
-  ExecResult R = Compiler::compileAndRun(Src, O);
-  EXPECT_TRUE(R.Ok) << R.TrapMessage;
-  EXPECT_FALSE(R.UncaughtException);
-  return R.Result;
-}
-
 /// Runs under all six variants and checks they agree on the result.
 int64_t runAllVariants(const std::string &Src) {
   size_t N;

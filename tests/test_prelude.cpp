@@ -1,12 +1,14 @@
 //===- tests/test_prelude.cpp - Prelude snapshot differential tests -----------===//
 //
-// The prelude snapshot (driver/PreludeSnapshot.h) must be a pure
-// performance transform: `--prelude=snapshot` (the default) and
-// `--prelude=inline` (the legacy concatenation oracle) must produce
-// bit-identical TM programs and identical observable executions across
-// the whole benchmark corpus and every compiler variant. These tests are
-// also the TSan target for lock-free snapshot sharing (tools/check.sh
-// runs `PreludeDifferential.*` under ThreadSanitizer).
+// The prelude snapshot (driver/PreludeSnapshot.h) is the only way the
+// prelude reaches a job. Its output across the whole benchmark corpus
+// and every compiler variant is pinned by the committed corpus baseline
+// (tests/test_baseline.cpp: every row compiles through the snapshot and
+// must reproduce its program hash and run observables). These tests
+// cover diagnostics, sharing across threads, batch workers and the
+// server, cache keying and accounting; they are also the TSan target for
+// lock-free snapshot sharing (tools/check.sh runs
+// `PreludeDifferential.*` under ThreadSanitizer).
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,11 +30,6 @@ using namespace smltc;
 
 namespace {
 
-CompilerOptions withMode(CompilerOptions O, PreludeMode M) {
-  O.Prelude = M;
-  return O;
-}
-
 /// A unique short socket path (sun_path is ~108 bytes; keep clear of it).
 std::string uniqueSocketPath() {
   static int Counter = 0;
@@ -42,97 +39,23 @@ std::string uniqueSocketPath() {
 
 } // namespace
 
-// The tentpole guarantee: for every corpus program under every variant,
-// the snapshot path and the inline oracle emit byte-identical programs.
-TEST(PreludeDifferential, BitIdenticalAcrossCorpusAndVariants) {
-  size_t N;
-  const CompilerOptions *Vs = CompilerOptions::allVariants(N);
-  for (const BenchmarkProgram &B : benchmarkCorpus()) {
-    for (size_t I = 0; I < N; ++I) {
-      CompileOutput Snap = Compiler::compile(
-          B.Source, withMode(Vs[I], PreludeMode::Snapshot));
-      CompileOutput Inl = Compiler::compile(
-          B.Source, withMode(Vs[I], PreludeMode::Inline));
-      ASSERT_TRUE(Snap.Ok) << B.Name << "/" << Vs[I].VariantName << ": "
-                           << Snap.Errors;
-      ASSERT_TRUE(Inl.Ok) << B.Name << "/" << Vs[I].VariantName << ": "
-                          << Inl.Errors;
-      EXPECT_TRUE(Snap.Metrics.PreludeSnapshotHit)
-          << B.Name << "/" << Vs[I].VariantName;
-      EXPECT_FALSE(Inl.Metrics.PreludeSnapshotHit)
-          << B.Name << "/" << Vs[I].VariantName;
-      EXPECT_EQ(Snap.Metrics.CodeSize, Inl.Metrics.CodeSize)
-          << B.Name << "/" << Vs[I].VariantName;
-      // MTD statistics must distribute exactly over the prelude/user
-      // split (prelude stats stored at snapshot build + user stats).
-      EXPECT_EQ(Snap.Metrics.Mtd.VarsGrounded, Inl.Metrics.Mtd.VarsGrounded)
-          << B.Name << "/" << Vs[I].VariantName;
-      EXPECT_EQ(Snap.Metrics.Mtd.BindingsNarrowed,
-                Inl.Metrics.Mtd.BindingsNarrowed)
-          << B.Name << "/" << Vs[I].VariantName;
-      EXPECT_EQ(programBytes(Snap.Program), programBytes(Inl.Program))
-          << B.Name << "/" << Vs[I].VariantName
-          << ": snapshot and inline prelude diverged";
-    }
-  }
-}
-
-// Observable-execution parity: result, printed output, instruction and
-// cycle counts, and allocation counters all match between the modes.
-TEST(PreludeDifferential, ExecutionObservablesMatchAcrossCorpus) {
-  CompilerOptions Base = CompilerOptions::ffb();
-  for (const BenchmarkProgram &B : benchmarkCorpus()) {
-    CompileOutput Snap =
-        Compiler::compile(B.Source, withMode(Base, PreludeMode::Snapshot));
-    CompileOutput Inl =
-        Compiler::compile(B.Source, withMode(Base, PreludeMode::Inline));
-    ASSERT_TRUE(Snap.Ok && Inl.Ok) << B.Name;
-    VmOptions VO;
-    ExecResult RS = execute(Snap.Program, VO);
-    ExecResult RI = execute(Inl.Program, VO);
-    ASSERT_TRUE(RS.Ok) << B.Name << ": " << RS.TrapMessage;
-    ASSERT_TRUE(RI.Ok) << B.Name << ": " << RI.TrapMessage;
-    EXPECT_EQ(RS.Result, RI.Result) << B.Name;
-    EXPECT_EQ(RS.Result, B.ExpectedResult) << B.Name;
-    EXPECT_EQ(RS.Output, RI.Output) << B.Name;
-    EXPECT_EQ(RS.UncaughtException, RI.UncaughtException) << B.Name;
-    EXPECT_EQ(RS.Instructions, RI.Instructions) << B.Name;
-    EXPECT_EQ(RS.Cycles, RI.Cycles) << B.Name;
-    EXPECT_EQ(RS.AllocWords32, RI.AllocWords32) << B.Name;
-    EXPECT_EQ(RS.AllocObjects, RI.AllocObjects) << B.Name;
-  }
-}
-
-// Compile errors in user code must carry user-relative line numbers under
-// the snapshot (the user source is parsed alone), while the inline oracle
-// keeps its historical prelude-offset rendering.
+// Compile errors in user code carry user-relative line numbers: the
+// user source is parsed alone on top of the snapshot.
 TEST(PreludeDifferential, DiagnosticsAreUserRelativeUnderSnapshot) {
   // Line 2 of the user program misuses a list.
   std::string Bad = "val a = 1\nval b = a :: a\n";
-  CompileOutput Snap = Compiler::compile(
-      Bad, withMode(CompilerOptions::ffb(), PreludeMode::Snapshot));
-  CompileOutput Inl = Compiler::compile(
-      Bad, withMode(CompilerOptions::ffb(), PreludeMode::Inline));
+  CompileOutput Snap = Compiler::compile(Bad, CompilerOptions::ffb());
   ASSERT_FALSE(Snap.Ok);
-  ASSERT_FALSE(Inl.Ok);
-  // Snapshot mode: the error is at line 2 of what was parsed.
   EXPECT_NE(Snap.Errors.find("2:"), std::string::npos) << Snap.Errors;
-  // Inline mode still reports prelude-shifted lines (the prelude spans
-  // >20 lines, so the user's line 2 lands far past it).
-  EXPECT_EQ(Inl.Errors.find("2:"), std::string::npos) << Inl.Errors;
 }
 
-// --no-prelude must be wholly unaffected by the prelude mode.
-TEST(PreludeDifferential, NoPreludeIgnoresMode) {
-  std::string Src = "fun main () = 40 + 2";
-  CompileOutput Snap = Compiler::compile(
-      Src, withMode(CompilerOptions::ffb(), PreludeMode::Snapshot), false);
-  CompileOutput Inl = Compiler::compile(
-      Src, withMode(CompilerOptions::ffb(), PreludeMode::Inline), false);
-  ASSERT_TRUE(Snap.Ok && Inl.Ok);
-  EXPECT_FALSE(Snap.Metrics.PreludeSnapshotHit);
-  EXPECT_FALSE(Inl.Metrics.PreludeSnapshotHit);
-  EXPECT_EQ(programBytes(Snap.Program), programBytes(Inl.Program));
+// --no-prelude never touches the snapshot.
+TEST(PreludeDifferential, NoPreludeBypassesSnapshot) {
+  CompileOutput C =
+      Compiler::compile("fun main () = 40 + 2", CompilerOptions::ffb(), false);
+  ASSERT_TRUE(C.Ok) << C.Errors;
+  EXPECT_FALSE(C.Metrics.PreludeSnapshotHit);
+  EXPECT_EQ(C.Metrics.PreludeElabSec, 0.0);
 }
 
 // Lock-free sharing: many threads compiling through the snapshot at once
@@ -229,15 +152,11 @@ TEST(PreludeDifferential, ServerRequestsReuseSnapshot) {
 }
 
 // The cache key must be prelude-sensitive through the interface
-// fingerprint (not the prelude text), and must keep the two delivery
-// modes disjoint.
-TEST(PreludeDifferential, CacheKeyFoldsInFingerprintAndMode) {
+// fingerprint (not the prelude text).
+TEST(PreludeDifferential, CacheKeyFoldsInFingerprint) {
   std::string Src = "fun main () = 1";
-  CompilerOptions Snap = withMode(CompilerOptions::ffb(), PreludeMode::Snapshot);
-  CompilerOptions Inl = withMode(CompilerOptions::ffb(), PreludeMode::Inline);
+  CompilerOptions Snap = CompilerOptions::ffb();
   std::string KSnap = canonicalJobKey(Src, Snap, true);
-  std::string KInl = canonicalJobKey(Src, Inl, true);
-  EXPECT_NE(KSnap, KInl);
 
   // The fingerprint is deterministic, nonzero, and embedded in every
   // WithPrelude key; no-prelude keys do not carry it.
@@ -264,12 +183,12 @@ TEST(PreludeDifferential, CacheKeyFoldsInFingerprintAndMode) {
   Ablated.CpsOptDisable = kCpsRuleWrapCancel;
   EXPECT_NE(canonicalJobKey(Src, Ablated, true), KSnap);
 
-  // Schema salt: entries persisted by builds that still had the
-  // bounded-phase mode (schema v6 / 0.8.x and older) can never alias the
-  // new keys.
+  // Schema salt: entries persisted by builds that still keyed on the
+  // optimizer engine and the prelude mode (schema v7 and older) can
+  // never alias the new keys.
   std::string Salt = compileCacheSalt();
   EXPECT_NE(Salt.find("smltc-0.9.0"), std::string::npos) << Salt;
-  EXPECT_NE(Salt.find("optschema=7"), std::string::npos) << Salt;
+  EXPECT_NE(Salt.find("optschema=8"), std::string::npos) << Salt;
   EXPECT_EQ(KSnap.find("smltc-0.8.0"), std::string::npos);
 }
 
@@ -286,7 +205,8 @@ TEST(PreludeDifferential, StaleSchemaEntriesMissCleanly) {
   // Simulate an old-schema entry: same hash bucket semantics, different
   // canonical key (old layouts never collide because the salt differs,
   // so insert under a perturbed key and look up under the real one).
-  CompilerOptions OldOpts = withMode(Opts, PreludeMode::Inline);
+  CompilerOptions OldOpts = Opts;
+  OldOpts.CpsOptDisable = kCpsRuleAll;
   Cache.insert(Src, OldOpts, true, Out);
   EXPECT_EQ(Cache.lookup(Src, Opts, true), nullptr);
   // The well-formed key round-trips.

@@ -225,21 +225,20 @@ TEST(ProtocolTest, MessagePayloadsRoundTrip) {
 
 // Option bytes a well-behaved client never sends must be refused, not
 // clamped or masked: unknown ablation bits (including the retired
-// census-fag bit 2), out-of-range enum bytes, and an options block of the
-// old 19-field schema.
+// census-fag bit 2), out-of-range enum bytes, callee-save counts that
+// would crash closure conversion, and an options block of the old
+// 18-field schema.
 TEST(ProtocolTest, OptionRangesAreRejected) {
   CompileRequest Req;
   Req.Opts = CompilerOptions::mtd();
   Req.Source = "val it = 1";
   const std::string Good = encodeCompileRequest(Req);
   // Request header (five u64 ids, u32 deadline, u8 prelude flag), then
-  // the options block: field count, variant name, engine, repr ... and
-  // the prelude and disable bytes last, right before the source string.
+  // the options block: field count, variant name, repr ... and the
+  // disable byte last, right before the source string.
   const size_t CountAt = 5 * 8 + 4 + 1;
-  const size_t EngineAt = CountAt + 1 + 4 + std::strlen(Req.Opts.VariantName);
-  const size_t ReprAt = EngineAt + 1;
+  const size_t ReprAt = CountAt + 1 + 4 + std::strlen(Req.Opts.VariantName);
   const size_t DisableAt = Good.size() - 4 - Req.Source.size() - 1;
-  const size_t PreludeAt = DisableAt - 1;
   auto Decodes = [](const std::string &Payload, std::string &Err) {
     CompileRequest Out;
     Err.clear();
@@ -250,6 +249,11 @@ TEST(ProtocolTest, OptionRangesAreRejected) {
     P[At] = static_cast<char>(V);
     return P;
   };
+  auto WithOpts = [&Req](void (*Set)(CompilerOptions &)) {
+    CompileRequest R = Req;
+    Set(R.Opts);
+    return encodeCompileRequest(R);
+  };
   std::string Err;
   ASSERT_TRUE(Decodes(Good, Err)) << Err;
   ASSERT_TRUE(Decodes(Patched(DisableAt, kCpsRuleAll), Err)) << Err;
@@ -258,16 +262,31 @@ TEST(ProtocolTest, OptionRangesAreRejected) {
   EXPECT_NE(Err.find("cps-opt-disable"), std::string::npos) << Err;
   EXPECT_FALSE(Decodes(Patched(DisableAt, 2), Err)); // retired fag bit
   EXPECT_NE(Err.find("cps-opt-disable"), std::string::npos) << Err;
-  EXPECT_FALSE(Decodes(Patched(PreludeAt, 2), Err));
-  EXPECT_NE(Err.find("prelude"), std::string::npos) << Err;
   EXPECT_FALSE(Decodes(Patched(ReprAt, 0xFF), Err));
   EXPECT_NE(Err.find("representation"), std::string::npos) << Err;
-  EXPECT_FALSE(Decodes(Patched(EngineAt, 2), Err));
-  EXPECT_NE(Err.find("engine"), std::string::npos) << Err;
 
-  // The old schema carried an i32 phase budget before the disable byte.
-  std::string Old = Patched(CountAt, 19);
-  Old.insert(DisableAt, std::string(4, '\0'));
+  // Closure conversion segfaults on zero general-purpose callee-saves and
+  // throws std::length_error on negative counts: one such frame must not
+  // take a shard down.
+  EXPECT_FALSE(
+      Decodes(WithOpts([](CompilerOptions &O) { O.GpCalleeSaves = 0; }), Err));
+  EXPECT_NE(Err.find("gp callee-saves"), std::string::npos) << Err;
+  EXPECT_FALSE(Decodes(
+      WithOpts([](CompilerOptions &O) { O.GpCalleeSaves = -1; }), Err));
+  EXPECT_NE(Err.find("gp callee-saves"), std::string::npos) << Err;
+  EXPECT_FALSE(Decodes(
+      WithOpts([](CompilerOptions &O) { O.FloatCalleeSaves = -1; }), Err));
+  EXPECT_NE(Err.find("float callee-saves"), std::string::npos) << Err;
+  // Large counts compile and trap cleanly at VM load; they stay legal.
+  EXPECT_TRUE(Decodes(
+      WithOpts([](CompilerOptions &O) { O.GpCalleeSaves = 200; }), Err))
+      << Err;
+
+  // The old schema carried an engine byte after the variant name and a
+  // prelude-mode byte before the disable byte.
+  std::string Old = Patched(CountAt, 18);
+  Old.insert(DisableAt, 1, '\0');
+  Old.insert(ReprAt, 1, '\0');
   EXPECT_FALSE(Decodes(Old, Err));
   EXPECT_NE(Err.find("schema mismatch"), std::string::npos) << Err;
 }

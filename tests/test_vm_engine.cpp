@@ -1,11 +1,11 @@
 //===- tests/test_vm_engine.cpp - Dispatch engines, nursery GC, metrics ----------===//
 //
-// The three dispatch engines (legacy, pre-decoded switch, computed-goto)
-// are oracles for each other: across the whole corpus they must produce
-// bit-identical results, outputs, and cost-model counters — cycles feed
-// Figure 7, so a divergence is a correctness bug, not a tuning issue.
-// The nursery likewise must be invisible to the program: any nursery
-// size may change GC cycles but never results or retired instructions.
+// The two dispatch engines (pre-decoded switch, computed-goto) must
+// reproduce the committed corpus baseline exactly (tests/test_baseline.cpp
+// checks both across the whole corpus); here they must also agree on
+// static traps and register handling. The nursery must be invisible to
+// the program: any nursery size may change GC cycles but never results
+// or retired instructions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,44 +29,24 @@ ExecResult runWith(const TmProgram &P, VmDispatch D, size_t NurseryKb,
   return execute(P, V);
 }
 
+/// Runs \p P on both engines, checks that they agree on every observable,
+/// and returns the threaded result.
+ExecResult runOnBothEngines(const TmProgram &P) {
+  ExecResult S = runWith(P, VmDispatch::Switch, 0, true);
+  ExecResult T = runWith(P, VmDispatch::Threaded, 0, true);
+  EXPECT_EQ(S.Trapped, T.Trapped);
+  EXPECT_EQ(S.TrapMessage, T.TrapMessage);
+  EXPECT_EQ(S.Result, T.Result);
+  EXPECT_EQ(S.Instructions, T.Instructions);
+  EXPECT_EQ(S.Cycles, T.Cycles);
+  return T;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Cross-engine determinism
+// Nursery
 //===----------------------------------------------------------------------===//
-
-TEST(VmEngine, DispatchModesBitIdenticalAcrossCorpus) {
-  size_t NumVariants;
-  const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
-  for (const BenchmarkProgram &B : benchmarkCorpus()) {
-    for (size_t V = 0; V < NumVariants; ++V) {
-      CompileOutput C = Compiler::compile(B.Source, Variants[V]);
-      ASSERT_TRUE(C.Ok) << B.Name << " " << Variants[V].VariantName;
-      bool UA = Variants[V].UnalignedFloats;
-      ExecResult L = runWith(C.Program, VmDispatch::Legacy, 256, UA);
-      ExecResult S = runWith(C.Program, VmDispatch::Switch, 256, UA);
-      ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, UA);
-      std::string Tag =
-          std::string(B.Name) + " " + Variants[V].VariantName;
-      ASSERT_TRUE(L.Ok) << Tag << ": " << L.TrapMessage;
-      ASSERT_TRUE(S.Ok) << Tag << ": " << S.TrapMessage;
-      ASSERT_TRUE(T.Ok) << Tag << ": " << T.TrapMessage;
-      EXPECT_EQ(L.Result, B.ExpectedResult) << Tag;
-      EXPECT_EQ(S.Result, L.Result) << Tag;
-      EXPECT_EQ(T.Result, L.Result) << Tag;
-      EXPECT_EQ(S.Output, L.Output) << Tag;
-      EXPECT_EQ(T.Output, L.Output) << Tag;
-      // Cost-model parity: the fused static costs plus the dynamic
-      // charges must reproduce the legacy charges exactly.
-      EXPECT_EQ(S.Instructions, L.Instructions) << Tag;
-      EXPECT_EQ(T.Instructions, L.Instructions) << Tag;
-      EXPECT_EQ(S.Cycles, L.Cycles) << Tag;
-      EXPECT_EQ(T.Cycles, L.Cycles) << Tag;
-      EXPECT_EQ(S.GcCopiedWords, L.GcCopiedWords) << Tag;
-      EXPECT_EQ(T.GcCopiedWords, L.GcCopiedWords) << Tag;
-    }
-  }
-}
 
 TEST(VmEngine, NurseryIsInvisibleToPrograms) {
   // A tiny nursery forces many minor collections and promotions; results
@@ -107,13 +87,10 @@ TEST(VmEngine, FloatUnsignedCompareTrapsInAllModes) {
   F.Code.push_back(H);
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D :
-       {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
-    ExecResult R = runWith(P, D, 0, true);
-    EXPECT_TRUE(R.Trapped);
-    EXPECT_NE(R.TrapMessage.find("unsigned"), std::string::npos)
-        << R.TrapMessage;
-  }
+  ExecResult R = runOnBothEngines(P);
+  EXPECT_TRUE(R.Trapped);
+  EXPECT_NE(R.TrapMessage.find("unsigned"), std::string::npos)
+      << R.TrapMessage;
 }
 
 TEST(VmEngine, OutOfRangeRegisterTrapsInAllModes) {
@@ -129,14 +106,11 @@ TEST(VmEngine, OutOfRangeRegisterTrapsInAllModes) {
   Insn H{TmOp::HaltOp};
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D :
-       {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
-    ExecResult R = runWith(P, D, 0, true);
-    EXPECT_TRUE(R.Trapped);
-    EXPECT_NE(R.TrapMessage.find("register"), std::string::npos)
-        << R.TrapMessage;
-    EXPECT_EQ(R.Instructions, 0u); // rejected before execution
-  }
+  ExecResult R = runOnBothEngines(P);
+  EXPECT_TRUE(R.Trapped);
+  EXPECT_NE(R.TrapMessage.find("register"), std::string::npos)
+      << R.TrapMessage;
+  EXPECT_EQ(R.Instructions, 0u); // rejected before execution
 }
 
 TEST(VmEngine, HighFloatRegistersWork) {
@@ -155,12 +129,9 @@ TEST(VmEngine, HighFloatRegistersWork) {
   H.Rs1 = 2;
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D :
-       {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
-    ExecResult R = runWith(P, D, 0, true);
-    ASSERT_TRUE(R.Ok) << R.TrapMessage;
-    EXPECT_EQ(R.Result, 2);
-  }
+  ExecResult R = runOnBothEngines(P);
+  ASSERT_TRUE(R.Ok) << R.TrapMessage;
+  EXPECT_EQ(R.Result, 2);
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,8 +2,9 @@
 #===- tools/check.sh - Tier-1 verify + sanitizer and smoke checks -----------===#
 #
 # 1. Configure, build, and run the full test suite (the tier-1 gate).
-# 2. Smoke-run the execution-throughput benchmark (1 iteration): the
-#    three dispatch engines must agree bit-for-bit across the corpus.
+# 2. Smoke-run the execution-throughput benchmark (1 iteration): both
+#    dispatch engines must reproduce the committed corpus baseline
+#    bit-for-bit.
 # 3. Smoke-run the compile-server benchmark: cold / warm-memory /
 #    warm-disk tier counters must be exact, responses byte-identical,
 #    and the warm-disk tier >= 6x faster than cold at the p50; then a
@@ -11,25 +12,24 @@
 # 4. Smoke the observability layer: the disabled-tracer overhead gate
 #    (obs_overhead) plus a real --trace-json export validated to contain
 #    one span per pipeline phase.
-# 5. Smoke the CPS-optimizer gate (opt_throughput): the fixpoint shrink
-#    engine must match the rounds oracle's VM observables over the full
-#    compile matrix, never execute more instructions on any row, reach a
-#    normal form on every row (no cap or ceiling hits), stay >= 1.5x
-#    faster in the cps_opt phase, and clear the dynamic-instruction
-#    reduction gates; then a CLI differential — one program compiled at
-#    the fixpoint default, under --cps-opt=rounds, and with every
-#    fixpoint extra ablated must print identical results.
+# 5. Smoke the CPS-optimizer gate (opt_throughput): every row of the
+#    compile matrix must match the committed corpus baseline exactly
+#    (VM observables, optimizer phases and arena bytes, base-cadence
+#    instructions), never execute more instructions than its base
+#    cadence, reach a normal form (no ceiling hits), and clear the
+#    dynamic-instruction reduction gates; then a CLI differential — one
+#    program compiled at the default and with every fixpoint extra
+#    ablated must print identical results.
 # 6. Smoke the native backend: the AOT gate (native_throughput --smoke,
 #    bit-identical to threaded dispatch and >= 3x geomean ips), a CLI
 #    --backend=native run diffed against the VM run, and strict CLI
-#    option validation (--vm-dispatch / --cps-opt / --backend with
-#    unknown values, and the retired --cps-opt-max-phases flag and
-#    fag ablation, must exit 64, not silently fall back or be ignored).
-# 7. Smoke the prelude snapshot: compile_throughput --smoke (front-end
-#    speedup report + prelude-mode byte identity over the 72-job
-#    matrix), plus a CLI differential — one corpus program compiled
-#    under --prelude=snapshot and --prelude=inline must print identical
-#    results.
+#    option validation (--vm-dispatch / --backend with unknown values,
+#    and the retired --cps-opt, --cps-opt-max-phases and --prelude
+#    flags, the legacy dispatch and the fag ablation, must exit 64, not
+#    silently fall back or be ignored).
+# 7. Smoke the prelude snapshot: compile_throughput --smoke (every job
+#    served by one snapshot build, every program equal to its committed
+#    baseline row), plus a CLI run through the prelude.
 # 8. Smoke the build farm: the farm_throughput gates (byte-identical
 #    responses through the router, 2-shard cache scaling, clean
 #    QueueFull-only overload, live /metrics), then a CLI-driven farm —
@@ -50,8 +50,8 @@
 #    the worker pool, poll loop, router threads, disk cache, and
 #    trace/metric registries are caught mechanically.
 # 11. Rebuild under AddressSanitizer and run the full suite (including
-#    the protocol frame fuzzer, the optimizer differential harness, and
-#    the native-backend differential tests, whose dlopen'd artifacts run
+#    the protocol frame fuzzer, the corpus baseline, and the
+#    native-backend differential tests, whose dlopen'd artifacts run
 #    inside the instrumented process), so heap/GC bugs and codec
 #    over-reads are caught at the first bad access rather than as
 #    downstream corruption.
@@ -122,21 +122,19 @@ assert not missing, f"trace missing phase spans: {missing}"
 PYEOF
 rm -f "$CHECK_TRACE"
 
-echo "== smoke: opt_throughput (fixpoint parity + reduction + 1.5x gates) =="
+echo "== smoke: opt_throughput (baseline + ratchet + reduction gates) =="
 (cd "$ROOT/build" && ./bench/opt_throughput --smoke \
   --out="$ROOT/build/BENCH_opt_smoke.json")
 
-echo "== smoke: fixpoint CLI vs rounds / ablated =="
+echo "== smoke: optimizer CLI default vs ablated =="
 FIX_EXPR='fun main () = let fun go 0 acc = acc | go n acc = go (n - 1) (acc + n * n) in go 50 0 end'
 FIX_OUT="$("$SMLTCC" --expr "$FIX_EXPR")"
 echo "$FIX_OUT" | grep 'result = 42925' >/dev/null
-for FixAlt in --cps-opt=rounds --cps-opt-disable=eta,wrapcancel,hoist; do
-  ALT_OUT="$("$SMLTCC" "$FixAlt" --expr "$FIX_EXPR")"
-  if [[ "$FIX_OUT" != "$ALT_OUT" ]]; then
-    echo "FAIL: $FixAlt output differs from the fixpoint default" >&2
-    exit 1
-  fi
-done
+ALT_OUT="$("$SMLTCC" --cps-opt-disable=eta,wrapcancel,hoist --expr "$FIX_EXPR")"
+if [[ "$FIX_OUT" != "$ALT_OUT" ]]; then
+  echo "FAIL: ablated output differs from the default" >&2
+  exit 1
+fi
 
 echo "== smoke: native_throughput (bit-identical AOT + 3x exec gate) =="
 (cd "$ROOT/build" && ./bench/native_throughput --smoke \
@@ -152,25 +150,22 @@ if [[ "$(echo "$VM_OUT" | grep 'result =')" != \
   exit 1
 fi
 
-echo "== smoke: compile_throughput (front-end gate + prelude byte identity) =="
+echo "== smoke: compile_throughput (snapshot hits + corpus baseline) =="
 (cd "$ROOT/build" && ./bench/compile_throughput --smoke \
   --out="$ROOT/build/BENCH_compile_smoke.json")
 
-echo "== smoke: prelude snapshot CLI vs inline oracle =="
-SNAP_OUT="$("$SMLTCC" --prelude=snapshot --expr 'fun main () = length (rev (tabulate (10, fn i => i)))')"
-INLINE_OUT="$("$SMLTCC" --prelude=inline --expr 'fun main () = length (rev (tabulate (10, fn i => i)))')"
-echo "$SNAP_OUT" | grep 'result = 10' >/dev/null
-if [[ "$SNAP_OUT" != "$INLINE_OUT" ]]; then
-  echo "FAIL: --prelude=snapshot output differs from --prelude=inline" >&2
-  exit 1
-fi
+echo "== smoke: prelude snapshot CLI =="
+"$SMLTCC" --expr 'fun main () = length (rev (tabulate (10, fn i => i)))' \
+  | grep 'result = 10' >/dev/null
 
 echo "== smoke: strict CLI option validation (exit 64 on unknown values) =="
 for Bad in --vm-dispatch=bogus --cps-opt=bogus --backend=bogus \
            --prelude=bogus --log-level=bogus --cps-opt-max-phases=bogus \
            --cps-opt-max-phases=0 --cps-opt-max-phases=999999 \
            --cps-opt-max-phases=10 --cps-opt-disable=fag \
-           --cps-opt-disable=bogus --cps-opt-disable=; do
+           --cps-opt-disable=bogus --cps-opt-disable= \
+           --cps-opt=rounds --cps-opt=shrink --vm-dispatch=legacy \
+           --prelude=inline --prelude=snapshot; do
   if "$SMLTCC" "$Bad" --expr 'fun main () = 1' >/dev/null 2>&1; then
     echo "FAIL: $Bad was accepted; unknown option values must be rejected" >&2
     exit 1
@@ -322,7 +317,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DSMLTC_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j"$JOBS" --target smltc_tests
   "$ROOT/build-tsan/tests/smltc_tests" \
-    --gtest_filter='BatchCompilerTest.*:CompileCacheTest.*:BatchMetricsTest.*:ProtocolTest.*:DiskCacheTest.*:ServerTest.*:Obs*:CpsOptDifferential.*:CpsOptFixpoint.*:FixpointFixture.*:PreludeDifferential.*:Farm*'
+    --gtest_filter='BatchCompilerTest.*:CompileCacheTest.*:BatchMetricsTest.*:ProtocolTest.*:DiskCacheTest.*:ServerTest.*:Obs*:CorpusBaseline.*:CpsOptFixpoint.*:FixpointFixture.*:PreludeDifferential.*:Farm*'
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

@@ -7,19 +7,18 @@
 //     --variant=nrp|fag|rep|mtd|ffb|fp3   (default: ffb)
 //     --all            run under all six variants and compare
 //     --jobs=N         compile the --all variants on N batch workers
-//     --no-prelude     do not prepend the standard prelude
-//     --prelude=snapshot|inline  prelude delivery (default: snapshot).
-//                      `snapshot` layers on the process-wide
-//                      pre-elaborated prelude; `inline` is the legacy
-//                      source-text concatenation kept as a
-//                      differential oracle (bit-identical output).
+//     --no-prelude     compile without the standard prelude (by
+//                      default every job layers on the process-wide
+//                      pre-elaborated prelude snapshot)
+//     --cps-opt-disable=eta,wrapcancel,hoist|all   ablate optimizer
+//                      extras (all = the base cadence)
 //     --metrics        print compile- and run-time metrics
 //     --metrics-json   print per-compile and batch metrics as JSON
 //     --backend=vm|native  execution backend (default: vm). `native`
 //                      AOT-compiles TM to C, builds a shared object
 //                      (cached content-addressed), and runs it with
 //                      bit-identical results to the interpreters.
-//     --vm-dispatch=threaded|switch|legacy   execution engine (default: threaded)
+//     --vm-dispatch=threaded|switch   execution engine (default: threaded)
 //     --vm-nursery-kb=N   nursery size in KiB; 0 = plain two-space GC
 //     --vm-metrics-json   print runtime metrics (incl. per-opcode counts) as JSON
 //     --expr 'src'     compile the given source text instead of a file
@@ -240,10 +239,8 @@ struct TraceExport {
 
 int main(int Argc, char **Argv) {
   std::string VariantName = "ffb";
-  CpsOptEngine OptEngine = CpsOptEngine::Shrink;
   uint8_t CpsOptDisable = 0;
   ExecBackend Backend = ExecBackend::Vm;
-  PreludeMode Prelude = PreludeMode::Snapshot;
   std::string File;
   std::string Expr;
   bool All = false, WithPrelude = true, Metrics = false;
@@ -265,17 +262,6 @@ int main(int Argc, char **Argv) {
     std::string A = Argv[I];
     if (A.rfind("--variant=", 0) == 0) {
       VariantName = A.substr(10);
-    } else if (A.rfind("--cps-opt=", 0) == 0) {
-      std::string En = A.substr(10);
-      if (En == "shrink")
-        OptEngine = CpsOptEngine::Shrink;
-      else if (En == "rounds")
-        OptEngine = CpsOptEngine::Rounds;
-      else {
-        std::fprintf(stderr, "unknown cps-opt engine '%s' (shrink|rounds)\n",
-                     En.c_str());
-        return 64;
-      }
     } else if (A.rfind("--cps-opt-disable=", 0) == 0) {
       std::string V = A.substr(18);
       size_t Pos = 0;
@@ -312,28 +298,14 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "unknown backend '%s' (vm|native)\n", B.c_str());
         return 64;
       }
-    } else if (A.rfind("--prelude=", 0) == 0) {
-      std::string M = A.substr(10);
-      if (M == "snapshot")
-        Prelude = PreludeMode::Snapshot;
-      else if (M == "inline")
-        Prelude = PreludeMode::Inline;
-      else {
-        std::fprintf(stderr, "unknown prelude mode '%s' (snapshot|inline)\n",
-                     M.c_str());
-        return 64;
-      }
     } else if (A.rfind("--vm-dispatch=", 0) == 0) {
       std::string D = A.substr(14);
       if (D == "threaded")
         VmBase.Dispatch = VmDispatch::Threaded;
       else if (D == "switch")
         VmBase.Dispatch = VmDispatch::Switch;
-      else if (D == "legacy")
-        VmBase.Dispatch = VmDispatch::Legacy;
       else {
-        std::fprintf(stderr,
-                     "unknown dispatch '%s' (threaded|switch|legacy)\n",
+        std::fprintf(stderr, "unknown dispatch '%s' (threaded|switch)\n",
                      D.c_str());
         return 64;
       }
@@ -457,12 +429,10 @@ int main(int Argc, char **Argv) {
       RemoteShutdown = true;
     } else if (A == "--help" || A == "-h") {
       std::printf("usage: smltcc [--variant=nrp|fag|rep|mtd|ffb|fp3] "
-                  "[--cps-opt=shrink|rounds] "
                   "[--cps-opt-disable=eta,wrapcancel,hoist|all] "
                   "[--backend=vm|native] "
-                  "[--prelude=snapshot|inline] "
                   "[--all] [--jobs=N] [--metrics] [--metrics-json] "
-                  "[--vm-dispatch=threaded|switch|legacy] "
+                  "[--vm-dispatch=threaded|switch] "
                   "[--vm-nursery-kb=N] [--vm-metrics-json] "
                   "[--no-prelude] (file.sml | --expr 'src')\n"
                   "       smltcc --daemon (--socket=PATH | "
@@ -615,10 +585,8 @@ int main(int Argc, char **Argv) {
     Req.DeadlineMs = DeadlineMs;
     Req.WithPrelude = WithPrelude;
     Req.Opts = *O;
-    Req.Opts.CpsOpt = OptEngine;
     Req.Opts.CpsOptDisable = CpsOptDisable;
     Req.Opts.Backend = Backend;
-    Req.Opts.Prelude = Prelude;
     Req.Source = Source;
     server::CompileResponse Resp;
     if (!Cl.compile(Req, Resp, Err)) {
@@ -654,10 +622,8 @@ int main(int Argc, char **Argv) {
     for (size_t I = 0; I < N; ++I) {
       BatchJobs[I].Source = Source;
       BatchJobs[I].Opts = Vs[I];
-      BatchJobs[I].Opts.CpsOpt = OptEngine;
       BatchJobs[I].Opts.CpsOptDisable = CpsOptDisable;
       BatchJobs[I].Opts.Backend = Backend;
-      BatchJobs[I].Opts.Prelude = Prelude;
       BatchJobs[I].Opts.KeepDumps = DumpLexp || DumpCps;
       BatchJobs[I].WithPrelude = WithPrelude;
     }
@@ -681,10 +647,8 @@ int main(int Argc, char **Argv) {
     return 64;
   }
   CompilerOptions Opts = *O;
-  Opts.CpsOpt = OptEngine;
   Opts.CpsOptDisable = CpsOptDisable;
   Opts.Backend = Backend;
-  Opts.Prelude = Prelude;
   Opts.KeepDumps = DumpLexp || DumpCps;
   CompileOutput C = Compiler::compile(Source, Opts, WithPrelude);
   return runCompiled(C, Opts, VmBase, Metrics, MetricsJson, VmMetricsJson,
